@@ -19,6 +19,7 @@ import tracemalloc
 
 import pytest
 
+from repro.api import get_scheme
 from repro.core.adaptive import run_threshold_adaptive, run_two_phase_adaptive
 from repro.core.baselines import (
     run_always_go_left,
@@ -28,22 +29,17 @@ from repro.core.baselines import (
 from repro.core.dynamic import run_churn_kd_choice
 from repro.core.process import run_kd_choice
 from repro.core.stale import run_stale_kd_choice
-from repro.core.vectorized import (
-    run_always_go_left_vectorized,
-    run_churn_kd_choice_vectorized,
-    run_kd_choice_vectorized,
-    run_one_plus_beta_vectorized,
-    run_stale_kd_choice_vectorized,
-    run_threshold_adaptive_vectorized,
-    run_two_phase_adaptive_vectorized,
-    run_weighted_kd_choice_vectorized,
-)
 from repro.core.weighted import run_weighted_kd_choice
 
 MICRO_N = 1 << 14
 
 #: Problem size of the scalar-vs-vectorized engine comparison.
 ENGINE_N = 100_000
+
+
+def _vectorized(scheme):
+    """The scheme's vectorized engine, as the registry serves it."""
+    return get_scheme(scheme).vectorized
 
 
 def _best_of(callable_, repeats: int) -> float:
@@ -102,7 +98,7 @@ def test_throughput_heavy_load(benchmark):
 
 @pytest.mark.parametrize("k,d", [(1, 2), (4, 8), (16, 17)])
 def test_throughput_kd_choice_vectorized(benchmark, k, d):
-    result = benchmark(run_kd_choice_vectorized, n_bins=MICRO_N, k=k, d=d, seed=0)
+    result = benchmark(_vectorized("kd_choice"), n_bins=MICRO_N, k=k, d=d, seed=0)
     assert result.total_balls_check()
     benchmark.extra_info["balls_placed"] = MICRO_N
     benchmark.extra_info["max_load"] = result.max_load
@@ -118,14 +114,14 @@ def test_vectorized_speedup_over_scalar(benchmark):
     k, d, seed = 4, 8, 0
     speedup, scalar_time, vectorized_time = _measure_speedup(
         lambda: run_kd_choice(n_bins=ENGINE_N, k=k, d=d, seed=seed),
-        lambda: run_kd_choice_vectorized(n_bins=ENGINE_N, k=k, d=d, seed=seed),
+        lambda: _vectorized("kd_choice")(n_bins=ENGINE_N, k=k, d=d, seed=seed),
         minimum=3.0,
         repeats=5,
     )
 
     scalar_result = run_kd_choice(n_bins=ENGINE_N, k=k, d=d, seed=seed)
     vectorized_result = benchmark(
-        run_kd_choice_vectorized, n_bins=ENGINE_N, k=k, d=d, seed=seed
+        _vectorized("kd_choice"), n_bins=ENGINE_N, k=k, d=d, seed=seed
     )
     assert (scalar_result.loads == vectorized_result.loads).all()
     benchmark.extra_info["scalar_seconds"] = round(scalar_time, 4)
@@ -166,8 +162,8 @@ class TestFamilySpeedups:
             benchmark,
             "weighted_kd_choice",
             lambda: run_weighted_kd_choice(ENGINE_N, 4, 8, weights="exponential", seed=0),
-            lambda: run_weighted_kd_choice_vectorized(
-                ENGINE_N, 4, 8, weights="exponential", seed=0
+            lambda: _vectorized("weighted_kd_choice")(
+                n_bins=ENGINE_N, k=4, d=8, weights="exponential", seed=0
             ),
             minimum=3.0,
         )
@@ -177,8 +173,8 @@ class TestFamilySpeedups:
             benchmark,
             "stale_kd_choice",
             lambda: run_stale_kd_choice(ENGINE_N, 4, 8, stale_rounds=8, seed=0),
-            lambda: run_stale_kd_choice_vectorized(
-                ENGINE_N, 4, 8, stale_rounds=8, seed=0
+            lambda: _vectorized("stale_kd_choice")(
+                n_bins=ENGINE_N, k=4, d=8, stale_rounds=8, seed=0
             ),
             minimum=3.0,
         )
@@ -188,7 +184,9 @@ class TestFamilySpeedups:
             benchmark,
             "churn_kd_choice",
             lambda: run_churn_kd_choice(4096, 4, 8, rounds=256, seed=0),
-            lambda: run_churn_kd_choice_vectorized(4096, 4, 8, rounds=256, seed=0),
+            lambda: _vectorized("churn_kd_choice")(
+                n_bins=4096, k=4, d=8, rounds=256, seed=0
+            ),
             minimum=3.0,
         )
 
@@ -197,7 +195,7 @@ class TestFamilySpeedups:
             benchmark,
             "threshold_adaptive",
             lambda: run_threshold_adaptive(2 * ENGINE_N, seed=0),
-            lambda: run_threshold_adaptive_vectorized(2 * ENGINE_N, seed=0),
+            lambda: _vectorized("threshold_adaptive")(n_bins=2 * ENGINE_N, seed=0),
             minimum=3.0,
         )
 
@@ -206,7 +204,7 @@ class TestFamilySpeedups:
             benchmark,
             "two_phase_adaptive",
             lambda: run_two_phase_adaptive(ENGINE_N, seed=0),
-            lambda: run_two_phase_adaptive_vectorized(ENGINE_N, seed=0),
+            lambda: _vectorized("two_phase_adaptive")(n_bins=ENGINE_N, seed=0),
             minimum=1.5,
         )
 
@@ -215,7 +213,7 @@ class TestFamilySpeedups:
             benchmark,
             "always_go_left",
             lambda: run_always_go_left(ENGINE_N, d=4, seed=0),
-            lambda: run_always_go_left_vectorized(ENGINE_N, d=4, seed=0),
+            lambda: _vectorized("always_go_left")(n_bins=ENGINE_N, d=4, seed=0),
             minimum=1.5,
         )
 
@@ -226,7 +224,7 @@ class TestFamilySpeedups:
             benchmark,
             "one_plus_beta",
             lambda: run_one_plus_beta(ENGINE_N, beta=0.5, seed=0),
-            lambda: run_one_plus_beta_vectorized(ENGINE_N, beta=0.5, seed=0),
+            lambda: _vectorized("one_plus_beta")(n_bins=ENGINE_N, beta=0.5, seed=0),
             minimum=0.7,
         )
 
@@ -243,7 +241,7 @@ def test_streaming_mode_memory_and_throughput(benchmark):
 
     tracemalloc.start()
     start = time.perf_counter()
-    result = run_kd_choice_vectorized(
+    result = _vectorized("kd_choice")(
         n_bins=n, k=k, d=d, seed=0, chunk_rounds=chunk_rounds
     )
     elapsed = time.perf_counter() - start
@@ -264,7 +262,7 @@ def test_streaming_mode_memory_and_throughput(benchmark):
     )
 
     benchmark(
-        run_kd_choice_vectorized,
+        _vectorized("kd_choice"),
         n_bins=n // 4,
         k=k,
         d=d,

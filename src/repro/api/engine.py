@@ -179,8 +179,10 @@ def _execute(spec: SchemeSpec, seed: "int | None") -> AllocationResult:
 def simulate(spec: SchemeSpec) -> AllocationResult:
     """Execute one spec once and return its :class:`AllocationResult`.
 
-    This is the canonical front door of the library; the historical
-    ``run_*`` helpers remain as thin shims around the same implementations.
+    This is the canonical front door of the library.  The scalar reference
+    runners stay importable from :mod:`repro.core`; the batch engines are
+    reached only through the registry (``get_scheme(name).vectorized`` /
+    ``.compiled``).
 
     Examples
     --------

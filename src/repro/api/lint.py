@@ -6,15 +6,14 @@ checks, mechanically, that the scheme registry never drifts away from the
 kernel table:
 
 * every kernel in :data:`~repro.core.kernels.table.KERNELS` backs a
-  registered scheme whose ``vectorized``/``online``/guard surfaces are the
-  *identical objects* the kernel carries (not merely equal — a re-wrapped
-  engine is exactly the drift this lint exists to catch);
+  registered scheme whose ``vectorized``/``compiled``/``online``/guard
+  surfaces are the *identical objects* the kernel carries (its
+  :attr:`~repro.core.kernels.table.Kernel.engines`, stepper and guards —
+  not merely equal: a re-wrapped engine is exactly the drift this lint
+  exists to catch);
 * every registered scheme is either kernel-backed or explicitly listed in
   :data:`~repro.core.kernels.table.EXEMPT_SCHEMES` (the bespoke substrate
-  simulators);
-* the compatibility shims ``repro.core.vectorized`` and
-  ``repro.online.steppers`` define nothing of their own — they re-export
-  kernel symbols only, so there is no second implementation to rot.
+  simulators).
 
 The workload registry (:mod:`repro.workloads`) gets the same treatment:
 
@@ -49,11 +48,6 @@ from typing import List
 
 __all__ = ["lint_registry"]
 
-#: Modules that must be pure re-export shims (they historically held the
-#: per-scheme engine implementations now living in repro.core.kernels).
-_SHIM_MODULES = ("repro.core.vectorized", "repro.online.steppers")
-
-
 def _kernel_surface_violations() -> List[str]:
     from ..core.kernels import EXEMPT_SCHEMES, KERNELS
     from .registry import REGISTRY
@@ -77,7 +71,7 @@ def _kernel_surface_violations() -> List[str]:
             )
             continue
         surfaces = (
-            ("vectorized", info.vectorized, kernel.vectorized),
+            ("vectorized", info.vectorized, kernel.engines.get("vectorized")),
             ("online", info.online, kernel.stepper),
             ("vectorized_guard", info.vectorized_guard, kernel.vectorized_guard),
             (
@@ -85,7 +79,7 @@ def _kernel_surface_violations() -> List[str]:
                 info.vectorized_fastpath_guard,
                 kernel.fastpath_guard,
             ),
-            ("compiled", info.compiled, kernel.compiled),
+            ("compiled", info.compiled, kernel.engines.get("compiled")),
             ("compiled_guard", info.compiled_guard, kernel.compiled_guard),
             (
                 "compiled_fastpath_guard",
@@ -110,24 +104,6 @@ def _kernel_surface_violations() -> List[str]:
                 f"scheme {name!r} (api/schemes.py) has no kernel and is not in "
                 f"EXEMPT_SCHEMES (core/kernels/table.py); add a kernel "
                 f"registration or list it as exempt"
-            )
-    return problems
-
-
-def _shim_purity_violations() -> List[str]:
-    problems: List[str] = []
-    for module_name in _SHIM_MODULES:
-        module = importlib.import_module(module_name)
-        owned = sorted(
-            name
-            for name, value in vars(module).items()
-            if not name.startswith("__")
-            and getattr(value, "__module__", None) == module_name
-        )
-        if owned:
-            problems.append(
-                f"shim module {module_name} defines its own symbols "
-                f"{owned}; it must only re-export from repro.core.kernels"
             )
     return problems
 
@@ -377,7 +353,6 @@ def lint_registry() -> List[str]:
 
     return (
         _kernel_surface_violations()
-        + _shim_purity_violations()
         + _workload_surface_violations()
         + _workload_cli_violations()
         + _workload_registry_violations()

@@ -9,13 +9,20 @@ around fourteen differently-shaped ``run_*`` functions.
 
 The registry stores, per scheme:
 
-* the runner callable and its introspected keyword signature (used to
-  validate spec params before execution),
-* an optional *vectorized* runner for the fast batch engine,
+* the scalar runner callable and its introspected keyword signature (used
+  to validate spec params before execution),
+* optional *vectorized* and *compiled* batch engines, called with the same
+  keyword arguments as the scalar runner,
 * an optional *online* stepper factory for the streaming allocation service
   (:mod:`repro.online`), mirroring the vectorized capability surface,
 * a one-line summary (the first docstring line by default) for
   :func:`describe_scheme` / the ``python -m repro schemes`` listing.
+
+A kernel-backed scheme (``register(..., kernel=KERNELS[name])``) gets its
+batch engines, stepper factory and guards from its
+:class:`~repro.core.kernels.table.Kernel`: the engines are the ``"numpy"``
+and ``"compiled"`` modes of one function,
+:func:`~repro.core.kernels.table.drive`.
 """
 
 from __future__ import annotations
@@ -70,9 +77,10 @@ class SchemeInfo:
         Callable[[Mapping[str, Any]], Optional[str]]
     ] = None
     #: Optional compiled (C-backend) runner, derived from the kernel record
-    #: exactly like ``vectorized``.  Selected via ``engine="compiled"`` or
-    #: the ``REPRO_KERNEL=compiled`` auto-preference; seed-for-seed
-    #: identical to the scalar reference by construction.
+    #: exactly like ``vectorized`` (``drive``'s ``"compiled"`` mode).
+    #: Selected via ``engine="compiled"`` or the ``REPRO_KERNEL=compiled``
+    #: auto-preference; seed-for-seed identical to the scalar reference by
+    #: construction.
     compiled: Optional[Runner] = None
     #: Hard capability guard for the compiled runner (parameters the C
     #: kernels cannot run, e.g. probe widths beyond the static scratch).
@@ -189,9 +197,10 @@ class SchemeRegistry:
                 ...
 
         ``kernel`` (a :class:`repro.core.kernels.table.Kernel`) is the
-        preferred wiring: the scheme's ``vectorized=``, ``online=`` and
-        guard surfaces are derived from the kernel's capabilities and may
-        not also be passed explicitly — one registration, one source of
+        preferred wiring: the scheme's ``vectorized=``, ``compiled=``,
+        ``online=`` and guard surfaces are derived from the kernel (its
+        :attr:`~repro.core.kernels.table.Kernel.engines` and stepper) and
+        may not also be passed explicitly — one registration, one source of
         truth, checked by ``repro schemes --check``.
         """
         if not isinstance(name, str) or not name:
@@ -204,10 +213,10 @@ class SchemeRegistry:
                     f"surfaces; engines of a kernel-backed scheme are derived "
                     f"from the kernel alone"
                 )
-            vectorized = kernel.vectorized
+            vectorized = kernel.engines.get("vectorized")
             vectorized_guard = kernel.vectorized_guard
             fastpath_guard = kernel.fastpath_guard
-            compiled = kernel.compiled
+            compiled = kernel.engines.get("compiled")
             compiled_guard = kernel.compiled_guard
             compiled_fastpath_guard = kernel.compiled_fastpath_guard
             online = kernel.stepper

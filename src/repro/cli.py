@@ -254,9 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     schemes.add_argument(
         "--check", action="store_true",
         help="run the registry/kernel parity lint: every ball-stream "
-        "scheme's engines must be derived from its kernel registration and "
-        "the compatibility shims must define nothing of their own; exits "
-        "nonzero naming the offending scheme/module on drift",
+        "scheme's engines must be derived from its kernel registration; "
+        "exits nonzero naming the offending scheme/module on drift",
     )
 
     workloads_cmd = subparsers.add_parser(

@@ -20,17 +20,6 @@ from .dynamic import (
 )
 from .policies import GreedyPolicy, StrictPolicy, get_policy, strict_select
 from .process import KDChoiceProcess, run_kd_choice
-from .vectorized import (
-    run_always_go_left_vectorized,
-    run_churn_kd_choice_vectorized,
-    run_d_choice_vectorized,
-    run_kd_choice_vectorized,
-    run_one_plus_beta_vectorized,
-    run_stale_kd_choice_vectorized,
-    run_threshold_adaptive_vectorized,
-    run_two_phase_adaptive_vectorized,
-    run_weighted_kd_choice_vectorized,
-)
 from .serialization import BallPlacement, SerializedKDChoice, run_serialized_kd_choice
 from .stale import StaleKDChoiceProcess, run_stale_kd_choice
 from .state import BinState
@@ -44,15 +33,6 @@ __all__ = [
     "BinState",
     "KDChoiceProcess",
     "run_kd_choice",
-    "run_kd_choice_vectorized",
-    "run_weighted_kd_choice_vectorized",
-    "run_stale_kd_choice_vectorized",
-    "run_churn_kd_choice_vectorized",
-    "run_d_choice_vectorized",
-    "run_one_plus_beta_vectorized",
-    "run_always_go_left_vectorized",
-    "run_threshold_adaptive_vectorized",
-    "run_two_phase_adaptive_vectorized",
     "strict_select",
     "SerializedKDChoice",
     "run_serialized_kd_choice",

@@ -208,9 +208,10 @@ def run_always_go_left(
         # (AlwaysGoLeftStepper.step); the batch drive loop declines its
         # batched apply under capacities, so this runs the per-ball
         # reference path with the identical draw blocks.
-        from .kernels.table import run_always_go_left_vectorized
+        from .kernels.table import KERNELS, drive
 
-        result = run_always_go_left_vectorized(
+        result = drive(
+            KERNELS["always_go_left"], "numpy",
             n_bins=n_bins, d=d, n_balls=n_balls, seed=seed, rng=rng,
             capacities=capacities,
         )

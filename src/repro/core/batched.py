@@ -1,6 +1,6 @@
 """Shared batched-selection kernel for the vectorized engines.
 
-Every fast path in :mod:`repro.core.vectorized` faces the same problem: the
+Every fast path in :mod:`repro.core.kernels` faces the same problem: the
 scalar reference processes place balls *sequentially* (each placement changes
 the loads the next ball reads), while NumPy wants to evaluate many balls at
 once.  Two primitives make batching exact:

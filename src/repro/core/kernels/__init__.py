@@ -1,10 +1,13 @@
 """Per-scheme kernel contract: draw blocks, per-unit apply, batched apply.
 
 Each scheme makes exactly one registration in :data:`~repro.core.kernels.table.KERNELS`;
-the online steppers, the vectorized batch engines and the registry's
-``vectorized=``/``online=``/guard wiring are all derived from it.  See
-:mod:`repro.core.kernels.base` for the contract and
-:mod:`repro.core.kernels.table` for the table and the derived engines.
+the online steppers, the batch engines (the modes of
+:func:`~repro.core.kernels.table.drive`) and the registry's
+``vectorized=``/``compiled=``/``online=``/guard wiring are all derived from
+it.  See :mod:`repro.core.kernels.base` for the contract and
+:mod:`repro.core.kernels.table` for the table and ``drive``.  Reach the
+engines through the registry: ``get_scheme(name).vectorized`` and
+``.compiled``.
 """
 
 from .adaptive import ThresholdAdaptiveStepper, TwoPhaseAdaptiveStepper
@@ -17,30 +20,11 @@ from .base import (
     run_to_completion,
     speculative_batch_rows,
 )
-from .kd import KDChoiceStepper
+from .kd import DChoiceStepper, KDChoiceStepper
 from .serialized import SerializedKDChoiceStepper
 from .single import SingleChoiceStepper
 from .stale import StaleKDChoiceStepper
-from .table import (
-    EXEMPT_SCHEMES,
-    KERNELS,
-    Kernel,
-    run_always_go_left_vectorized,
-    run_churn_allocation_vectorized,
-    run_churn_kd_choice_vectorized,
-    run_d_choice_vectorized,
-    run_greedy_kd_choice_vectorized,
-    run_hierarchical_go_left_vectorized,
-    run_kd_choice_vectorized,
-    run_locality_two_choice_vectorized,
-    run_one_plus_beta_vectorized,
-    run_serialized_kd_choice_vectorized,
-    run_stale_kd_choice_vectorized,
-    run_threshold_adaptive_vectorized,
-    run_two_choice_vectorized,
-    run_two_phase_adaptive_vectorized,
-    run_weighted_kd_choice_vectorized,
-)
+from .table import EXEMPT_SCHEMES, KERNELS, Kernel, drive
 from .topology import HierarchicalGoLeftStepper, LocalityTwoChoiceStepper
 from .weighted import WeightedKDChoiceStepper
 
@@ -48,6 +32,7 @@ __all__ = [
     "Kernel",
     "KERNELS",
     "EXEMPT_SCHEMES",
+    "drive",
     "OnlineStepper",
     "StreamExhausted",
     "run_to_completion",
@@ -55,6 +40,7 @@ __all__ = [
     "speculative_batch_rows",
     "CALLABLE_THRESHOLD_REASON",
     "KDChoiceStepper",
+    "DChoiceStepper",
     "SerializedKDChoiceStepper",
     "SingleChoiceStepper",
     "WeightedKDChoiceStepper",
@@ -65,19 +51,4 @@ __all__ = [
     "LocalityTwoChoiceStepper",
     "ThresholdAdaptiveStepper",
     "TwoPhaseAdaptiveStepper",
-    "run_kd_choice_vectorized",
-    "run_serialized_kd_choice_vectorized",
-    "run_greedy_kd_choice_vectorized",
-    "run_weighted_kd_choice_vectorized",
-    "run_stale_kd_choice_vectorized",
-    "run_churn_kd_choice_vectorized",
-    "run_churn_allocation_vectorized",
-    "run_d_choice_vectorized",
-    "run_two_choice_vectorized",
-    "run_one_plus_beta_vectorized",
-    "run_always_go_left_vectorized",
-    "run_threshold_adaptive_vectorized",
-    "run_two_phase_adaptive_vectorized",
-    "run_hierarchical_go_left_vectorized",
-    "run_locality_two_choice_vectorized",
 ]

@@ -15,7 +15,7 @@ per-ball), so only the per-unit path serves it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -87,6 +87,24 @@ class ThresholdAdaptiveStepper(OnlineStepper):
     @property
     def rounds(self) -> int:
         return self.balls_emitted
+
+    result_policy = "adaptive"
+
+    def _result_label(self) -> str:
+        return "adaptive-threshold"
+
+    def _result_kd(self) -> Tuple[int, int]:
+        return 1, self.max_probes
+
+    def _result_extra(self) -> Dict[str, Any]:
+        return {
+            "probe_histogram": {
+                int(count): int(balls)
+                for count, balls in sorted(self.probe_histogram.items())
+            },
+            "average_probes": self.messages / max(self.planned_balls, 1),
+            "max_probes": self.max_probes,
+        }
 
     def _refill(self) -> None:
         batch = min(self.planned_balls - self._balls_drawn, _BALL_CHUNK)
@@ -262,6 +280,22 @@ class TwoPhaseAdaptiveStepper(OnlineStepper):
     @property
     def rounds(self) -> int:
         return self.balls_emitted
+
+    result_policy = "adaptive"
+
+    def _result_label(self) -> str:
+        return "adaptive-two-phase"
+
+    def _result_kd(self) -> Tuple[int, int]:
+        return 1, self.retry_probes
+
+    def _result_extra(self) -> Dict[str, Any]:
+        return {
+            "cap": self.cap,
+            "retries": self.retries,
+            "retry_fraction": self.retries / max(self.planned_balls, 1),
+            "average_probes": self.messages / max(self.planned_balls, 1),
+        }
 
     def _refill(self) -> None:
         batch = min(self.planned_balls - self._balls_drawn, _BALL_CHUNK)

@@ -11,7 +11,7 @@ Per-unit apply: one ball.  Batched apply: speculate-verify sub-batches over
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,6 +63,17 @@ class OnePlusBetaStepper(OnlineStepper):
     @property
     def rounds(self) -> int:
         return self.balls_emitted
+
+    result_policy = "mixed"
+
+    def _result_label(self) -> str:
+        return f"(1+{self.beta:g})-choice"
+
+    def _result_kd(self) -> Tuple[int, int]:
+        return 1, 2
+
+    def _result_extra(self) -> Dict[str, Any]:
+        return {"beta": self.beta}
 
     def _refill(self) -> None:
         batch = min(self.planned_balls - self._balls_drawn, _BALL_CHUNK)
@@ -195,6 +206,11 @@ class AlwaysGoLeftStepper(OnlineStepper):
     @property
     def rounds(self) -> int:
         return self.balls_emitted
+
+    result_policy = "asymmetric"
+
+    def _result_label(self) -> str:
+        return f"always-go-left[{self.d}]"
 
     def _refill(self) -> None:
         batch = min(self.planned_balls - self._balls_drawn, _BALL_CHUNK)

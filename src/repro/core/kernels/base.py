@@ -33,11 +33,15 @@ on:
   JSON-serializable dict; ``load_state()`` restores it, so a resumed
   stream continues bit-identically.
 
-* :func:`run_to_completion` — the derivation driver.  The vectorized batch
-  engines in :mod:`repro.core.kernels.table` are nothing but "drive the
-  stepper to the end of its planned stream"; because the stepper consumes
-  the same RNG blocks as the historical hand-written batch engine, the
-  derived runner is seed-for-seed identical to it.
+  **Results.**  ``result(engine)`` reports a finished stream as the
+  :class:`~repro.core.types.AllocationResult` the batch engines return.
+  Subclasses override only its scheme-specific parts: the label, the
+  policy tag, ``(k, d)`` and the ``extra`` entries.
+
+* :func:`run_to_completion` — drives a stepper to the end of its planned
+  stream.  :func:`~repro.core.kernels.table.drive` builds every batch
+  engine from it; because the stepper consumes the same RNG blocks as the
+  scalar reference, the derived engine is seed-for-seed identical to it.
 
 * The batch-sizing heuristics (:func:`independent_batch_rounds`,
   :func:`speculative_batch_rows`) shared by every batched apply.
@@ -51,6 +55,7 @@ import numpy as np
 
 from ..baselines import _CHUNK as _BALL_CHUNK
 from ..process import _DEFAULT_CHUNK_ROUNDS as _CHUNK_ROUNDS
+from ..types import AllocationResult
 
 __all__ = [
     "StreamExhausted",
@@ -196,6 +201,13 @@ class OnlineStepper:
     #: the spec/environment whenever a stepper is (re)constructed.
     kernel_mode: str = "numpy"
 
+    #: Balls per round as :meth:`result` reports it (the per-ball kernels
+    #: keep one-ball rounds).
+    k: int = 1
+
+    #: The ``policy`` tag of :meth:`result`.
+    result_policy: str = "strict"
+
     #: Whether ``step_block`` must return destinations in exact ball order.
     #: The streaming allocator always captures; :func:`run_to_completion`
     #: turns capture off so the derived batch engines skip the per-ball
@@ -266,6 +278,38 @@ class OnlineStepper:
         self.loads[bin_index] -= 1
 
     # ------------------------------------------------------------------
+    # Batch result
+    # ------------------------------------------------------------------
+    def result(self, engine: str) -> AllocationResult:
+        """The stream's state as an :class:`AllocationResult`.
+
+        ``engine`` is the ``extra["engine"]`` tag.  The result shares
+        ``loads`` with the stepper rather than copying it.
+        """
+        k, d = self._result_kd()
+        return AllocationResult(
+            loads=self.loads,
+            scheme=self._result_label(),
+            n_bins=self.n_bins,
+            n_balls=self.planned_balls,
+            k=k,
+            d=d,
+            messages=self.messages,
+            rounds=self.rounds,
+            policy=self.result_policy,
+            extra={**self._result_extra(), "engine": engine},
+        )
+
+    def _result_label(self) -> str:
+        raise NotImplementedError
+
+    def _result_kd(self) -> Tuple[int, int]:
+        return self.k, self.d
+
+    def _result_extra(self) -> Dict[str, Any]:
+        return {}
+
+    # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
@@ -307,16 +351,14 @@ def run_to_completion(
 ) -> OnlineStepper:
     """Drive a stepper to the end of its planned stream (in drive mode).
 
-    This is how the vectorized batch engines are derived from the kernel
-    table: the stepper consumes the same RNG blocks as the historical
-    hand-written batch engine, so driving it to exhaustion yields loads,
-    message/round counts and a final generator state that are bit-for-bit
-    identical.  ``_capture`` is cleared for the duration so block kernels
-    can skip per-ball destination ordering nobody will read.
+    The stepper consumes the same RNG blocks as the scalar reference, so
+    driving it to exhaustion yields loads, message/round counts and a final
+    generator state that are bit-for-bit identical.  ``_capture`` is
+    cleared for the duration so block kernels can skip per-ball destination
+    ordering nobody will read.
 
     ``kernel_mode`` optionally selects the block-apply backend first
-    (``"compiled"`` derives the compiled batch engine from the same
-    stepper).
+    (``"numpy"`` or ``"compiled"``).
     """
     if kernel_mode is not None:
         stepper.set_kernel_mode(kernel_mode)

@@ -1,9 +1,10 @@
 """The dynamic insert/delete churn kernel (batch-only).
 
 Churn has no per-item streaming form — departures are global events over
-the whole allocation, so the scheme exposes no stepper.  Its kernel is the
-batch runner alone, kept here so the registry still derives the scheme's
-``vectorized=`` surface from the kernel table.
+the whole allocation, so the scheme exposes no stepper and the generic
+``drive`` loop does not apply.  Its kernel is the batch runner alone:
+:func:`run_churn_allocation_vectorized` is the ``vectorized=`` engine the
+kernel table registers for it.
 
 Draw blocks (identical to :func:`~repro.core.dynamic.run_churn_kd_choice`):
 one ``size=warmup_balls`` integer block, then per round a ``size=d`` sample
@@ -18,12 +19,12 @@ from typing import List, Optional
 import numpy as np
 
 from ..baselines import _make_rng
-from ..dynamic import ChurnResult, ChurnSnapshot
+from ..dynamic import ChurnResult, ChurnSnapshot, allocation_from_churn
 from ..policies import strict_select
-from ..types import ProcessParams
+from ..types import AllocationResult, ProcessParams
 from .base import _require_strict
 
-__all__ = ["run_churn_kd_choice_vectorized"]
+__all__ = ["run_churn_kd_choice_vectorized", "run_churn_allocation_vectorized"]
 
 
 def run_churn_kd_choice_vectorized(
@@ -110,3 +111,32 @@ def run_churn_kd_choice_vectorized(
         final_loads=np.asarray(loads, dtype=np.int64),
         snapshots=snapshots,
     )
+
+
+def run_churn_allocation_vectorized(
+    n_bins: int,
+    k: int,
+    d: int,
+    rounds: int,
+    departures_per_round: Optional[int] = None,
+    policy: str = "strict",
+    seed: "int | np.random.SeedSequence | None" = None,
+    rng: Optional[np.random.Generator] = None,
+) -> AllocationResult:
+    """Vectorized churn run adapted to the common :class:`AllocationResult`.
+
+    The raw :class:`~repro.core.dynamic.ChurnResult` (snapshots,
+    steady-state statistics) rides along in ``extra["churn_result"]``,
+    exactly as the scalar runner reports it.
+    """
+    churn = run_churn_kd_choice_vectorized(
+        n_bins=n_bins,
+        k=k,
+        d=d,
+        rounds=rounds,
+        departures_per_round=departures_per_round,
+        policy=policy,
+        seed=seed,
+        rng=rng,
+    )
+    return allocation_from_churn(churn, n_bins, k, d, policy)

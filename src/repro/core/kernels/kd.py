@@ -13,7 +13,7 @@ Batched apply: independent-round batches through :func:`_select_batch`
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .base import (
     normalize_capacities,
 )
 
-__all__ = ["KDChoiceStepper", "_select_batch"]
+__all__ = ["KDChoiceStepper", "DChoiceStepper", "_select_batch"]
 
 
 def _select_batch(
@@ -151,6 +151,19 @@ class KDChoiceStepper(OnlineStepper):
         self._tail_done = False
         self._batch_rounds = min(chunk_rounds, independent_batch_rounds(n_bins, d))
 
+    @property
+    def result_policy(self) -> str:
+        return self.policy.name
+
+    def _result_label(self) -> str:
+        return f"({self.k},{self.d})-choice"
+
+    def _result_extra(self) -> Dict[str, Any]:
+        params = ProcessParams(
+            n_bins=self.n_bins, n_balls=self.planned_balls, k=self.k, d=self.d
+        )
+        return {"expected_messages": params.message_cost}
+
     def _refill(self) -> None:
         chunk = min(self.full_rounds - self._rounds_drawn, self.chunk_rounds)
         self._buffer = self.rng.integers(0, self.n_bins, size=(chunk, self.d))
@@ -252,3 +265,26 @@ class KDChoiceStepper(OnlineStepper):
         self.messages += r * self.d
         self.balls_emitted += r * self.k
         return destinations
+
+
+class DChoiceStepper(KDChoiceStepper):
+    """Streaming Greedy[d]: the (1, d)-choice special case, one ball a round."""
+
+    def __init__(
+        self,
+        n_bins: int,
+        d: int,
+        n_balls: Optional[int] = None,
+        seed: "int | np.random.SeedSequence | None" = None,
+        rng: Optional[np.random.Generator] = None,
+        capacities: Optional[object] = None,
+    ) -> None:
+        if d < 1:
+            raise ValueError(f"d must be at least 1, got {d}")
+        super().__init__(
+            n_bins=n_bins, k=1, d=d, n_balls=n_balls, seed=seed, rng=rng,
+            capacities=capacities,
+        )
+
+    def _result_label(self) -> str:
+        return f"greedy[{self.d}]"

@@ -77,6 +77,9 @@ class SerializedKDChoiceStepper(OnlineStepper):
         self.balls_emitted = 0
         self._policy = StrictPolicy()
 
+    def _result_label(self) -> str:
+        return f"serialized-({self.k},{self.d})-choice[{self.sigma_name}]"
+
     def step(self) -> List[int]:
         self._require_more()
         samples = [int(s) for s in self.rng.integers(0, self.n_bins, size=self.d)]

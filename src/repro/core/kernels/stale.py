@@ -15,7 +15,7 @@ so an epoch's full rounds resolve in one
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -74,6 +74,12 @@ class StaleKDChoiceStepper(OnlineStepper):
         self._snapshot: Optional[np.ndarray] = None
         self._epoch_pos = 0
         self._epoch_pending: List[int] = []
+
+    def _result_label(self) -> str:
+        return f"stale-({self.k},{self.d})-choice[epoch={self.stale_rounds} rounds]"
+
+    def _result_extra(self) -> Dict[str, Any]:
+        return {"stale_rounds": self.stale_rounds}
 
     def _begin_epoch(self) -> None:
         remaining = self.planned_balls - self.balls_emitted

@@ -3,20 +3,21 @@
 Every allocation scheme registers a :class:`Kernel` here — its draw-block
 spec (the exact RNG blocks the scheme consumes, in order), its per-unit
 apply (an :class:`~repro.core.kernels.base.OnlineStepper` factory) and an
-optional batched apply riding :mod:`repro.core.batched`.  Both engine
+optional batched apply riding :mod:`repro.core.batched`.  The engine
 surfaces are *derived* from that single registration:
 
 * the **online** surface is the stepper factory itself;
-* the **vectorized** surface is :func:`~repro.core.kernels.base.run_to_completion`
-  over a fresh stepper plus a result builder — bit-for-bit identical to the
-  historical hand-written batch engines because the stepper consumes the
-  same RNG blocks (``tests/core/test_engine_equivalence.py`` and
-  ``tests/online`` lock this down).
+* the **vectorized** and **compiled** surfaces are the ``"numpy"`` and
+  ``"compiled"`` modes of :func:`drive`: build the stepper, run it to the
+  end of its planned stream, report ``stepper.result()``.  Because the
+  stepper consumes the scalar reference's RNG blocks, the result is
+  seed-for-seed identical to it (``tests/core/test_engine_equivalence.py``
+  and ``tests/online`` lock this down).
 
-The registry (:mod:`repro.api.schemes`) passes ``kernel=KERNELS[name]`` to
-``register`` and gets its ``vectorized=``/``online=``/guard wiring from the
-kernel's capabilities; ``repro schemes --check`` verifies the two never
-drift apart.
+:attr:`Kernel.engines` holds the derived callables.  The registry
+(:mod:`repro.api.schemes`) passes ``kernel=KERNELS[name]`` to ``register``
+and takes its ``vectorized=``/``compiled=``/``online=``/guard wiring from
+the kernel; ``repro schemes --check`` verifies the two never drift apart.
 
 Two capability levels keep auto-selection honest:
 
@@ -33,10 +34,8 @@ import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from ...topology.records import zone_counter_extra
 from ..baselines import run_batch_random, run_single_choice
-from ..dynamic import allocation_from_churn
-from ..types import AllocationResult, ProcessParams
+from ..types import AllocationResult
 from .adaptive import ThresholdAdaptiveStepper, TwoPhaseAdaptiveStepper
 from .balls import AlwaysGoLeftStepper, OnePlusBetaStepper
 from .base import (
@@ -45,43 +44,15 @@ from .base import (
     _require_strict,
     run_to_completion,
 )
-from .churn import run_churn_kd_choice_vectorized
-from .kd import KDChoiceStepper
+from .churn import run_churn_allocation_vectorized
+from .kd import DChoiceStepper, KDChoiceStepper
 from .serialized import SerializedKDChoiceStepper
 from .single import SingleChoiceStepper
 from .stale import StaleKDChoiceStepper
 from .topology import HierarchicalGoLeftStepper, LocalityTwoChoiceStepper
 from .weighted import WeightedKDChoiceStepper
 
-__all__ = [
-    "Kernel",
-    "KERNELS",
-    "EXEMPT_SCHEMES",
-    "run_kd_choice_vectorized",
-    "run_serialized_kd_choice_vectorized",
-    "run_greedy_kd_choice_vectorized",
-    "run_weighted_kd_choice_vectorized",
-    "run_stale_kd_choice_vectorized",
-    "run_churn_kd_choice_vectorized",
-    "run_churn_allocation_vectorized",
-    "run_d_choice_vectorized",
-    "run_two_choice_vectorized",
-    "run_one_plus_beta_vectorized",
-    "run_always_go_left_vectorized",
-    "run_threshold_adaptive_vectorized",
-    "run_two_phase_adaptive_vectorized",
-    "run_hierarchical_go_left_vectorized",
-    "run_locality_two_choice_vectorized",
-    "run_kd_choice_compiled",
-    "run_weighted_kd_choice_compiled",
-    "run_stale_kd_choice_compiled",
-    "run_d_choice_compiled",
-    "run_two_choice_compiled",
-    "run_one_plus_beta_compiled",
-    "run_always_go_left_compiled",
-    "run_threshold_adaptive_compiled",
-    "run_two_phase_adaptive_compiled",
-]
+__all__ = ["Kernel", "KERNELS", "EXEMPT_SCHEMES", "drive"]
 
 #: Why the serialized scheme's batch engine is opt-in only.
 SERIALIZED_FASTPATH_REASON = (
@@ -96,38 +67,6 @@ GREEDY_FASTPATH_REASON = (
     "batch engine drives the per-round kernel with no speedup; "
     "engine='auto' keeps the scalar reference"
 )
-
-
-# ----------------------------------------------------------------------
-# Derived batch engines: run_to_completion + a result builder
-# ----------------------------------------------------------------------
-def _engine_label(kernel_mode: str) -> str:
-    """The result's ``extra["engine"]`` tag for a block-apply mode."""
-    return "compiled" if kernel_mode == "compiled" else "vectorized"
-
-
-def _compiled_variant(runner: Callable[..., Any]) -> Callable[..., Any]:
-    """Derive a ``run_*_compiled`` engine from a ``run_*_vectorized`` runner.
-
-    The compiled engine is the identical drive loop with the stepper's
-    block-apply switched to the C backend — same signature, same RNG
-    stream, same result, different inner loop.  ``functools.wraps`` keeps
-    the public signature so the engine layer's kwargs validation treats
-    both runners identically.
-    """
-
-    @functools.wraps(runner)
-    def run_compiled(*args: Any, **kwargs: Any) -> AllocationResult:
-        kwargs["_kernel_mode"] = "compiled"
-        return runner(*args, **kwargs)
-
-    run_compiled.__name__ = runner.__name__.replace("_vectorized", "_compiled")
-    run_compiled.__qualname__ = run_compiled.__name__
-    run_compiled.__doc__ = (
-        f"Compiled-backend variant of :func:`{runner.__name__}` "
-        f"(same RNG stream and result, C inner loop)."
-    )
-    return run_compiled
 
 
 #: Probe widths above this cannot run on the C kernels (their per-round
@@ -155,559 +94,28 @@ def _compiled_width_guard(
     return guard
 
 
-def _kd_result(
-    stepper: KDChoiceStepper,
-    scheme: str,
-    policy: str = "strict",
-    engine: str = "vectorized",
-) -> AllocationResult:
-    params = ProcessParams(
-        n_bins=stepper.n_bins,
-        n_balls=stepper.planned_balls,
-        k=stepper.k,
-        d=stepper.d,
-    )
-    return AllocationResult(
-        loads=stepper.loads,
-        scheme=scheme,
-        n_bins=stepper.n_bins,
-        n_balls=stepper.planned_balls,
-        k=stepper.k,
-        d=stepper.d,
-        messages=stepper.messages,
-        rounds=stepper.rounds,
-        policy=policy,
-        extra={"expected_messages": params.message_cost, "engine": engine},
-    )
+# ----------------------------------------------------------------------
+# Every derived batch engine is drive(kernel, mode, ...)
+# ----------------------------------------------------------------------
+def drive(kernel: "Kernel", kernel_mode: str, **kwargs: Any) -> AllocationResult:
+    """Run ``kernel``'s stepper to the end of its planned stream.
 
-
-def run_kd_choice_vectorized(
-    n_bins: int,
-    k: int,
-    d: int,
-    n_balls: Optional[int] = None,
-    policy: str = "strict",
-    seed: "int | Any" = None,
-    rng: Optional[Any] = None,
-    chunk_rounds: Optional[int] = None,
-    capacities: Optional[Any] = None,
-    _kernel_mode: str = "numpy",
-) -> AllocationResult:
-    """Run (k, d)-choice with the batch-vectorized engine.
-
-    Seed-for-seed, the returned load vector is identical to
-    :func:`~repro.core.process.run_kd_choice` at the same ``chunk_rounds``;
-    only the wall-clock time differs.  ``chunk_rounds`` (default 4096) is the
-    streaming knob: samples are drawn and processed in blocks of that many
-    rounds, bounding peak buffer memory at ``O(chunk_rounds * d)``.
-
-    ``capacities`` (the ``hetero_bins`` workload) switches the strict rule to
-    fractional fills; the stepper then declines its batched apply, so this
-    engine drives the per-round reference path at scalar speed.
+    ``kwargs`` are the scheme's scalar-runner keyword arguments (the
+    steppers accept the same ones).  ``kernel_mode`` selects the block
+    apply: ``"numpy"`` is the scheme's vectorized engine and
+    ``"compiled"`` its compiled engine.  Both consume the scalar
+    reference's RNG blocks, so loads, messages, rounds and the final
+    generator state match it seed for seed.  Only the strict policy runs
+    here; other policies raise ``ValueError``.
     """
-    _require_strict(policy)
-    stepper = run_to_completion(
-        KDChoiceStepper(
-            n_bins=n_bins,
-            k=k,
-            d=d,
-            n_balls=n_balls,
-            seed=seed,
-            rng=rng,
-            chunk_rounds=chunk_rounds,
-            capacities=capacities,
-        ),
-        kernel_mode=_kernel_mode,
-    )
-    return _kd_result(
-        stepper, scheme=f"({k},{d})-choice", engine=_engine_label(_kernel_mode)
-    )
-
-
-def run_greedy_kd_choice_vectorized(
-    n_bins: int,
-    k: int,
-    d: int,
-    n_balls: Optional[int] = None,
-    seed: "int | Any" = None,
-    rng: Optional[Any] = None,
-) -> AllocationResult:
-    """(k, d)-choice under the greedy water-filling relaxation, batch surface.
-
-    The greedy policy re-reads the loads after every single placement, so
-    there is no batched apply: this engine drives the per-round kernel and
-    matches :func:`~repro.core.process.run_kd_choice` with
-    ``policy="greedy"`` seed for seed at scalar speed (the registry's
-    fast-path guard keeps ``engine="auto"`` on the scalar reference).
-    """
-    stepper = run_to_completion(
-        KDChoiceStepper(
-            n_bins=n_bins, k=k, d=d, n_balls=n_balls, policy="greedy",
-            seed=seed, rng=rng,
-        )
-    )
-    return _kd_result(stepper, scheme=f"({k},{d})-choice", policy="greedy")
-
-
-def run_serialized_kd_choice_vectorized(
-    n_bins: int,
-    k: int,
-    d: int,
-    n_balls: Optional[int] = None,
-    sigma: "str | Callable[..., Any]" = "identity",
-    seed: "int | Any" = None,
-    rng: Optional[Any] = None,
-) -> AllocationResult:
-    """The serialization ``A_sigma``, batch surface.
-
-    Drives the per-round serialized kernel — the process is defined
-    ball-at-a-time, so there is nothing to batch and no speedup; loads,
-    messages, rounds and the generator stream match
-    :func:`~repro.core.serialization.run_serialized_kd_choice` seed for
-    seed.  The scalar reference's per-ball ``extra["placements"]`` record is
-    omitted (the registry's fast-path guard keeps ``engine="auto"`` on the
-    scalar reference for exactly this reason).
-    """
-    stepper = run_to_completion(
-        SerializedKDChoiceStepper(
-            n_bins=n_bins, k=k, d=d, n_balls=n_balls, sigma=sigma,
-            seed=seed, rng=rng,
-        )
-    )
-    return AllocationResult(
-        loads=stepper.loads,
-        scheme=f"serialized-({k},{d})-choice[{stepper.sigma_name}]",
-        n_bins=n_bins,
-        n_balls=stepper.planned_balls,
-        k=k,
-        d=d,
-        messages=stepper.messages,
-        rounds=stepper.rounds,
-        policy="strict",
-        extra={"engine": "vectorized"},
-    )
-
-
-def run_weighted_kd_choice_vectorized(
-    n_bins: int,
-    k: int,
-    d: int,
-    weights: Any = "exponential",
-    n_balls: Optional[int] = None,
-    mean_weight: float = 1.0,
-    seed: "int | Any" = None,
-    rng: Optional[Any] = None,
-    capacities: Optional[Any] = None,
-    _kernel_mode: str = "numpy",
-) -> AllocationResult:
-    """Weighted (k, d)-choice on the batch engine.
-
-    Seed-for-seed identical to :func:`~repro.core.weighted.run_weighted_kd_choice`:
-    the weights are materialized by the same :func:`make_weights` call, and
-    each round draws its ``d`` samples then its ``d`` tie-break doubles in
-    the scalar order.
-    """
-    stepper = run_to_completion(
-        WeightedKDChoiceStepper(
-            n_bins=n_bins,
-            k=k,
-            d=d,
-            weights=weights,
-            n_balls=n_balls,
-            mean_weight=mean_weight,
-            seed=seed,
-            rng=rng,
-            capacities=capacities,
-        ),
-        kernel_mode=_kernel_mode,
-    )
-    spec_name = (
-        weights if isinstance(weights, str)
-        else getattr(weights, "__name__", "custom") if callable(weights)
-        else "explicit"
-    )
-    weighted_loads = stepper.weighted_loads
-    total_weight = float(stepper._weights.sum())
-    return AllocationResult(
-        loads=stepper.loads,
-        scheme=f"weighted-({k},{d})-choice[{spec_name}]",
-        n_bins=n_bins,
-        n_balls=stepper.planned_balls,
-        k=k,
-        d=d,
-        messages=stepper.messages,
-        rounds=stepper.rounds,
-        policy="weighted-strict",
-        extra={
-            "weighted_loads": weighted_loads,
-            "total_weight": total_weight,
-            "max_weighted_load": (
-                float(weighted_loads.max()) if weighted_loads.size else 0.0
-            ),
-            "weighted_gap": (
-                float(weighted_loads.max() - total_weight / n_bins)
-                if weighted_loads.size
-                else 0.0
-            ),
-            "engine": _engine_label(_kernel_mode),
-        },
-    )
-
-
-def run_stale_kd_choice_vectorized(
-    n_bins: int,
-    k: int,
-    d: int,
-    stale_rounds: int = 1,
-    n_balls: Optional[int] = None,
-    policy: str = "strict",
-    seed: "int | Any" = None,
-    rng: Optional[Any] = None,
-    _kernel_mode: str = "numpy",
-) -> AllocationResult:
-    """Stale-information (k, d)-choice on the batch engine.
-
-    The stale process is the engine's best case: every round of an epoch
-    probes the same load snapshot by definition, so a whole epoch is one
-    independent row-selection batch — no conflict detection needed.
-    """
-    _require_strict(policy)
-    stepper = run_to_completion(
-        StaleKDChoiceStepper(
-            n_bins=n_bins,
-            k=k,
-            d=d,
-            stale_rounds=stale_rounds,
-            n_balls=n_balls,
-            seed=seed,
-            rng=rng,
-        ),
-        kernel_mode=_kernel_mode,
-    )
-    return AllocationResult(
-        loads=stepper.loads,
-        scheme=f"stale-({k},{d})-choice[epoch={stale_rounds} rounds]",
-        n_bins=n_bins,
-        n_balls=stepper.planned_balls,
-        k=k,
-        d=d,
-        messages=stepper.messages,
-        rounds=stepper.rounds,
-        policy="strict",
-        extra={"stale_rounds": stale_rounds, "engine": _engine_label(_kernel_mode)},
-    )
-
-
-def run_d_choice_vectorized(
-    n_bins: int,
-    d: int,
-    n_balls: Optional[int] = None,
-    seed: "int | Any" = None,
-    rng: Optional[Any] = None,
-    capacities: Optional[Any] = None,
-    _kernel_mode: str = "numpy",
-) -> AllocationResult:
-    """Greedy[d] on the batch engine (the (1, d)-choice special case)."""
-    if d < 1:
-        raise ValueError(f"d must be at least 1, got {d}")
-    result = run_kd_choice_vectorized(
-        n_bins=n_bins, k=1, d=d, n_balls=n_balls, seed=seed, rng=rng,
-        capacities=capacities, _kernel_mode=_kernel_mode,
-    )
-    result.scheme = f"greedy[{d}]"
-    return result
-
-
-def run_two_choice_vectorized(
-    n_bins: int,
-    n_balls: Optional[int] = None,
-    seed: "int | Any" = None,
-    rng: Optional[Any] = None,
-    capacities: Optional[Any] = None,
-    _kernel_mode: str = "numpy",
-) -> AllocationResult:
-    """Two-choice (Greedy[2]) on the batch engine."""
-    return run_d_choice_vectorized(
-        n_bins=n_bins, d=2, n_balls=n_balls, seed=seed, rng=rng,
-        capacities=capacities, _kernel_mode=_kernel_mode,
-    )
-
-
-def run_one_plus_beta_vectorized(
-    n_bins: int,
-    beta: float,
-    n_balls: Optional[int] = None,
-    seed: "int | Any" = None,
-    rng: Optional[Any] = None,
-    _kernel_mode: str = "numpy",
-) -> AllocationResult:
-    """(1 + β)-choice on the speculate-verify batch engine."""
-    stepper = run_to_completion(
-        OnePlusBetaStepper(
-            n_bins=n_bins, beta=beta, n_balls=n_balls, seed=seed, rng=rng
-        ),
-        kernel_mode=_kernel_mode,
-    )
-    return AllocationResult(
-        loads=stepper.loads,
-        scheme=f"(1+{beta:g})-choice",
-        n_bins=n_bins,
-        n_balls=stepper.planned_balls,
-        k=1,
-        d=2,
-        messages=stepper.messages,
-        rounds=stepper.planned_balls,
-        policy="mixed",
-        extra={"beta": beta, "engine": _engine_label(_kernel_mode)},
-    )
-
-
-def run_always_go_left_vectorized(
-    n_bins: int,
-    d: int,
-    n_balls: Optional[int] = None,
-    seed: "int | Any" = None,
-    rng: Optional[Any] = None,
-    capacities: Optional[Any] = None,
-    _kernel_mode: str = "numpy",
-) -> AllocationResult:
-    """Vöcking's Always-Go-Left scheme on the speculate-verify engine."""
-    stepper = run_to_completion(
-        AlwaysGoLeftStepper(
-            n_bins=n_bins, d=d, n_balls=n_balls, seed=seed, rng=rng,
-            capacities=capacities,
-        ),
-        kernel_mode=_kernel_mode,
-    )
-    return AllocationResult(
-        loads=stepper.loads,
-        scheme=f"always-go-left[{d}]",
-        n_bins=n_bins,
-        n_balls=stepper.planned_balls,
-        k=1,
-        d=d,
-        messages=stepper.messages,
-        rounds=stepper.planned_balls,
-        policy="asymmetric",
-        extra={"engine": _engine_label(_kernel_mode)},
-    )
-
-
-def run_threshold_adaptive_vectorized(
-    n_bins: int,
-    n_balls: Optional[int] = None,
-    threshold: "int | Callable[[float], int] | None" = None,
-    max_probes: Optional[int] = None,
-    seed: "int | Any" = None,
-    rng: Optional[Any] = None,
-    _kernel_mode: str = "numpy",
-) -> AllocationResult:
-    """Threshold probing on the speculate-verify engine.
-
-    The default average-based rule and fixed integer thresholds ride the
-    batched apply; a callable threshold has no batched form (its evaluation
-    order is inherently per-ball) and is served by the per-unit drive path
-    at scalar speed — the registry's fast-path guard keeps ``engine="auto"``
-    on the scalar reference for callables.
-    """
-    stepper = run_to_completion(
-        ThresholdAdaptiveStepper(
-            n_bins=n_bins,
-            n_balls=n_balls,
-            threshold=threshold,
-            max_probes=max_probes,
-            seed=seed,
-            rng=rng,
-        ),
-        kernel_mode=_kernel_mode,
-    )
-    probe_histogram = {
-        int(count): int(balls)
-        for count, balls in sorted(stepper.probe_histogram.items())
-    }
-    return AllocationResult(
-        loads=stepper.loads,
-        scheme="adaptive-threshold",
-        n_bins=n_bins,
-        n_balls=stepper.planned_balls,
-        k=1,
-        d=stepper.max_probes,
-        messages=stepper.messages,
-        rounds=stepper.planned_balls,
-        policy="adaptive",
-        extra={
-            "probe_histogram": probe_histogram,
-            "average_probes": stepper.messages / max(stepper.planned_balls, 1),
-            "max_probes": stepper.max_probes,
-            "engine": _engine_label(_kernel_mode),
-        },
-    )
-
-
-def run_two_phase_adaptive_vectorized(
-    n_bins: int,
-    n_balls: Optional[int] = None,
-    cap: Optional[int] = None,
-    retry_probes: int = 4,
-    seed: "int | Any" = None,
-    rng: Optional[Any] = None,
-    _kernel_mode: str = "numpy",
-) -> AllocationResult:
-    """Two-phase adaptive allocation on the speculate-verify engine."""
-    stepper = run_to_completion(
-        TwoPhaseAdaptiveStepper(
-            n_bins=n_bins,
-            n_balls=n_balls,
-            cap=cap,
-            retry_probes=retry_probes,
-            seed=seed,
-            rng=rng,
-        ),
-        kernel_mode=_kernel_mode,
-    )
-    return AllocationResult(
-        loads=stepper.loads,
-        scheme="adaptive-two-phase",
-        n_bins=n_bins,
-        n_balls=stepper.planned_balls,
-        k=1,
-        d=retry_probes,
-        messages=stepper.messages,
-        rounds=stepper.planned_balls,
-        policy="adaptive",
-        extra={
-            "cap": stepper.cap,
-            "retries": stepper.retries,
-            "retry_fraction": stepper.retries / max(stepper.planned_balls, 1),
-            "average_probes": stepper.messages / max(stepper.planned_balls, 1),
-            "engine": _engine_label(_kernel_mode),
-        },
-    )
-
-
-def run_hierarchical_go_left_vectorized(
-    n_bins: int,
-    d: Optional[int] = None,
-    topology: Optional[Any] = None,
-    n_balls: Optional[int] = None,
-    seed: "int | Any" = None,
-    rng: Optional[Any] = None,
-) -> AllocationResult:
-    """Hierarchical go-left on the speculate-verify engine.
-
-    Same drive loop as Always-Go-Left with the topology's racks as the
-    probe groups; the zone counters come off the stepper after the run.
-    """
-    stepper = run_to_completion(
-        HierarchicalGoLeftStepper(
-            n_bins=n_bins, d=d, topology=topology, n_balls=n_balls,
-            seed=seed, rng=rng,
-        )
-    )
-    topo = stepper.topology
-    return AllocationResult(
-        loads=stepper.loads,
-        scheme=f"hierarchical-go-left[{topo.name}]",
-        n_bins=n_bins,
-        n_balls=stepper.planned_balls,
-        k=1,
-        d=stepper.d,
-        messages=stepper.messages,
-        rounds=stepper.planned_balls,
-        policy="hierarchical",
-        extra={
-            **zone_counter_extra(topo, stepper.zone_counters),
-            "engine": "vectorized",
-        },
-    )
-
-
-def run_locality_two_choice_vectorized(
-    n_bins: int,
-    d: int = 2,
-    bias: float = 0.0,
-    threshold: int = 0,
-    topology: Optional[Any] = None,
-    n_balls: Optional[int] = None,
-    seed: "int | Any" = None,
-    rng: Optional[Any] = None,
-    chunk_rounds: Optional[int] = None,
-) -> AllocationResult:
-    """Locality two-choice on the independent-round batch engine."""
-    stepper = run_to_completion(
-        LocalityTwoChoiceStepper(
-            n_bins=n_bins, d=d, bias=bias, threshold=threshold,
-            topology=topology, n_balls=n_balls, seed=seed, rng=rng,
-            chunk_rounds=chunk_rounds,
-        )
-    )
-    topo = stepper.topology
-    return AllocationResult(
-        loads=stepper.loads,
-        scheme=f"locality-two-choice[{topo.name}]",
-        n_bins=n_bins,
-        n_balls=stepper.planned_balls,
-        k=1,
-        d=d,
-        messages=stepper.messages,
-        rounds=stepper.planned_balls,
-        policy="locality",
-        extra={
-            **zone_counter_extra(topo, stepper.zone_counters),
-            "bias": float(bias),
-            "threshold": int(threshold),
-            "engine": "vectorized",
-        },
-    )
+    _require_strict(kwargs.get("policy", "strict"))
+    stepper = run_to_completion(kernel.stepper(**kwargs), kernel_mode)
+    return stepper.result("vectorized" if kernel_mode == "numpy" else kernel_mode)
 
 
 # ----------------------------------------------------------------------
-# Stepper factories for the schemes that re-parameterize a shared kernel
+# Stepper factory that renames a parameter of a shared kernel
 # ----------------------------------------------------------------------
-def greedy_kd_choice_stepper(
-    n_bins: int,
-    k: int,
-    d: int,
-    n_balls: Optional[int] = None,
-    seed: "int | Any" = None,
-    rng: Optional[Any] = None,
-) -> KDChoiceStepper:
-    """Stream (k, d)-choice under the greedy water-filling relaxation."""
-    return KDChoiceStepper(
-        n_bins=n_bins, k=k, d=d, n_balls=n_balls, policy="greedy",
-        seed=seed, rng=rng,
-    )
-
-
-def d_choice_stepper(
-    n_bins: int,
-    d: int,
-    n_balls: Optional[int] = None,
-    seed: "int | Any" = None,
-    rng: Optional[Any] = None,
-    capacities: Optional[Any] = None,
-) -> KDChoiceStepper:
-    """Stream Greedy[d] (the (1, d)-choice special case)."""
-    return KDChoiceStepper(
-        n_bins=n_bins, k=1, d=d, n_balls=n_balls, seed=seed, rng=rng,
-        capacities=capacities,
-    )
-
-
-def two_choice_stepper(
-    n_bins: int,
-    n_balls: Optional[int] = None,
-    seed: "int | Any" = None,
-    rng: Optional[Any] = None,
-    capacities: Optional[Any] = None,
-) -> KDChoiceStepper:
-    """Stream classic two-choice (Greedy[2])."""
-    return KDChoiceStepper(
-        n_bins=n_bins, k=1, d=2, n_balls=n_balls, seed=seed, rng=rng,
-        capacities=capacities,
-    )
-
-
 def batch_random_stepper(
     n_bins: int,
     k: int,
@@ -719,54 +127,6 @@ def batch_random_stepper(
     return SingleChoiceStepper(
         n_bins=n_bins, n_balls=n_balls, seed=seed, rng=rng, round_size=k
     )
-
-
-def run_churn_allocation_vectorized(
-    n_bins: int,
-    k: int,
-    d: int,
-    rounds: int,
-    departures_per_round: Optional[int] = None,
-    policy: str = "strict",
-    seed: "int | Any" = None,
-    rng: Optional[Any] = None,
-) -> AllocationResult:
-    """Vectorized churn run adapted to the common :class:`AllocationResult`.
-
-    The registry's batch engine must return an ``AllocationResult``; the raw
-    :class:`~repro.core.dynamic.ChurnResult` (snapshots, steady-state
-    statistics) rides along in ``extra["churn_result"]``, exactly as the
-    scalar runner reports it.
-    """
-    churn = run_churn_kd_choice_vectorized(
-        n_bins=n_bins,
-        k=k,
-        d=d,
-        rounds=rounds,
-        departures_per_round=departures_per_round,
-        policy=policy,
-        seed=seed,
-        rng=rng,
-    )
-    return allocation_from_churn(churn, n_bins, k, d, policy)
-
-
-# ----------------------------------------------------------------------
-# Derived compiled engines: the same drive loop, C block-apply
-# ----------------------------------------------------------------------
-run_kd_choice_compiled = _compiled_variant(run_kd_choice_vectorized)
-run_weighted_kd_choice_compiled = _compiled_variant(run_weighted_kd_choice_vectorized)
-run_stale_kd_choice_compiled = _compiled_variant(run_stale_kd_choice_vectorized)
-run_d_choice_compiled = _compiled_variant(run_d_choice_vectorized)
-run_two_choice_compiled = _compiled_variant(run_two_choice_vectorized)
-run_one_plus_beta_compiled = _compiled_variant(run_one_plus_beta_vectorized)
-run_always_go_left_compiled = _compiled_variant(run_always_go_left_vectorized)
-run_threshold_adaptive_compiled = _compiled_variant(
-    run_threshold_adaptive_vectorized
-)
-run_two_phase_adaptive_compiled = _compiled_variant(
-    run_two_phase_adaptive_vectorized
-)
 
 
 def _threshold_fastpath_guard(params: Mapping[str, Any]) -> Optional[str]:
@@ -799,10 +159,14 @@ class Kernel:
     parameters at all; a ``fastpath_guard`` reason means it runs but brings
     no speedup, so engine auto-selection prefers the scalar reference.
 
-    ``compiled`` names the scheme's C-backend engine (derived from the
-    vectorized runner via :func:`_compiled_variant`), with the same two
-    guard levels: ``compiled_guard`` (hard — the parameters cannot run on
-    the C kernels) and ``compiled_fastpath_guard`` (soft — the compiled
+    ``vectorized`` is a batch engine used instead of :func:`drive`: churn's
+    stepperless batch core, or a scalar runner that is already batched.
+    Left ``None``, the vectorized engine is ``drive``'s ``"numpy"`` mode.
+
+    ``compiled`` marks schemes whose stepper has C block kernels; their
+    compiled engine is ``drive``'s ``"compiled"`` mode.  It has the same
+    two guard levels: ``compiled_guard`` (hard — the parameters cannot run
+    on the C kernels) and ``compiled_fastpath_guard`` (soft — the compiled
     engine works but degenerates to the per-unit drive path, so the
     ``REPRO_KERNEL=compiled`` auto-preference skips it).  Whether the C
     backend itself is buildable in the current environment is a separate,
@@ -814,15 +178,31 @@ class Kernel:
     unit: str
     draw_blocks: Tuple[str, ...]
     stepper: Optional[Callable[..., OnlineStepper]]
-    vectorized: Optional[Callable[..., Any]]
+    vectorized: Optional[Callable[..., AllocationResult]] = None
     batched: Optional[str] = None
     vectorized_guard: Optional[Callable[[Mapping[str, Any]], Optional[str]]] = None
     fastpath_guard: Optional[Callable[[Mapping[str, Any]], Optional[str]]] = None
-    compiled: Optional[Callable[..., Any]] = None
+    compiled: bool = False
     compiled_guard: Optional[Callable[[Mapping[str, Any]], Optional[str]]] = None
     compiled_fastpath_guard: Optional[
         Callable[[Mapping[str, Any]], Optional[str]]
     ] = None
+
+    @functools.cached_property
+    def engines(self) -> Dict[str, Callable[..., AllocationResult]]:
+        """The batch engines by registry name (``"vectorized"``, ``"compiled"``).
+
+        Computed once, so the registry and the parity lint see the same
+        callable objects.
+        """
+        engines: Dict[str, Callable[..., AllocationResult]] = {}
+        if self.vectorized is not None:
+            engines["vectorized"] = self.vectorized
+        elif self.stepper is not None:
+            engines["vectorized"] = functools.partial(drive, self, "numpy")
+        if self.compiled:
+            engines["compiled"] = functools.partial(drive, self, "compiled")
+        return engines
 
 
 #: Schemes outside the kernel contract: their engines are bespoke substrate
@@ -842,9 +222,8 @@ KERNELS: Dict[str, Kernel] = {
             "tail: samples int(d), ties float(d)",
         ),
         stepper=KDChoiceStepper,
-        vectorized=run_kd_choice_vectorized,
         batched="independent-round batches (_select_batch)",
-        compiled=run_kd_choice_compiled,
+        compiled=True,
         compiled_guard=_compiled_width_guard("d"),
     ),
     "serialized_kd_choice": Kernel(
@@ -856,7 +235,6 @@ KERNELS: Dict[str, Kernel] = {
             "sigma draws [random sigma: permutation(k)]",
         ),
         stepper=SerializedKDChoiceStepper,
-        vectorized=run_serialized_kd_choice_vectorized,
         fastpath_guard=_serialized_fastpath_guard,
     ),
     "weighted_kd_choice": Kernel(
@@ -868,9 +246,8 @@ KERNELS: Dict[str, Kernel] = {
             "tail: samples int(d), ties float(d)",
         ),
         stepper=WeightedKDChoiceStepper,
-        vectorized=run_weighted_kd_choice_vectorized,
         batched="speculate-verify rounds (_weighted_batch)",
-        compiled=run_weighted_kd_choice_compiled,
+        compiled=True,
         compiled_guard=_compiled_width_guard("d"),
     ),
     "stale_kd_choice": Kernel(
@@ -882,9 +259,8 @@ KERNELS: Dict[str, Kernel] = {
             "partial k == d tail: ties float(d)",
         ),
         stepper=StaleKDChoiceStepper,
-        vectorized=run_stale_kd_choice_vectorized,
         batched="whole epochs (strict_select_rows)",
-        compiled=run_stale_kd_choice_compiled,
+        compiled=True,
         compiled_guard=_compiled_width_guard("d"),
     ),
     "greedy_kd_choice": Kernel(
@@ -895,8 +271,7 @@ KERNELS: Dict[str, Kernel] = {
             "greedy heap ties per round",
             "tail: samples int(d) + policy draws",
         ),
-        stepper=greedy_kd_choice_stepper,
-        vectorized=run_greedy_kd_choice_vectorized,
+        stepper=functools.partial(KDChoiceStepper, policy="greedy"),
         fastpath_guard=_greedy_fastpath_guard,
     ),
     "churn_kd_choice": Kernel(
@@ -923,20 +298,18 @@ KERNELS: Dict[str, Kernel] = {
         name="d_choice",
         unit="ball (a 1-ball round)",
         draw_blocks=("the kd_choice blocks with k = 1",),
-        stepper=d_choice_stepper,
-        vectorized=run_d_choice_vectorized,
+        stepper=DChoiceStepper,
         batched="independent-round batches (_select_batch)",
-        compiled=run_d_choice_compiled,
+        compiled=True,
         compiled_guard=_compiled_width_guard("d"),
     ),
     "two_choice": Kernel(
         name="two_choice",
         unit="ball (a 1-ball round)",
         draw_blocks=("the kd_choice blocks with k = 1, d = 2",),
-        stepper=two_choice_stepper,
-        vectorized=run_two_choice_vectorized,
+        stepper=functools.partial(DChoiceStepper, d=2),
         batched="independent-round batches (_select_batch)",
-        compiled=run_two_choice_compiled,
+        compiled=True,
     ),
     "one_plus_beta": Kernel(
         name="one_plus_beta",
@@ -946,18 +319,16 @@ KERNELS: Dict[str, Kernel] = {
             "second int(batch)",
         ),
         stepper=OnePlusBetaStepper,
-        vectorized=run_one_plus_beta_vectorized,
         batched="speculate-verify balls (prefix_conflicts)",
-        compiled=run_one_plus_beta_compiled,
+        compiled=True,
     ),
     "always_go_left": Kernel(
         name="always_go_left",
         unit="ball",
         draw_blocks=("per <=8192 balls: uniforms float(batch, d)",),
         stepper=AlwaysGoLeftStepper,
-        vectorized=run_always_go_left_vectorized,
         batched="speculate-verify balls (prefix_conflicts)",
-        compiled=run_always_go_left_compiled,
+        compiled=True,
         compiled_guard=_compiled_width_guard("d"),
     ),
     "batch_random": Kernel(
@@ -973,10 +344,9 @@ KERNELS: Dict[str, Kernel] = {
         unit="ball",
         draw_blocks=("per <=8192 balls: probes int(batch, max_probes)",),
         stepper=ThresholdAdaptiveStepper,
-        vectorized=run_threshold_adaptive_vectorized,
         batched="speculate-verify balls; callable thresholds drive per-unit",
         fastpath_guard=_threshold_fastpath_guard,
-        compiled=run_threshold_adaptive_compiled,
+        compiled=True,
         compiled_guard=_compiled_width_guard("max_probes"),
         compiled_fastpath_guard=_threshold_fastpath_guard,
     ),
@@ -988,9 +358,8 @@ KERNELS: Dict[str, Kernel] = {
             "fallback int(batch, retry_probes)",
         ),
         stepper=TwoPhaseAdaptiveStepper,
-        vectorized=run_two_phase_adaptive_vectorized,
         batched="speculate-verify balls (prefix_conflicts)",
-        compiled=run_two_phase_adaptive_compiled,
+        compiled=True,
         compiled_guard=_compiled_width_guard("retry_probes"),
     ),
     "hierarchical_always_go_left": Kernel(
@@ -1001,7 +370,6 @@ KERNELS: Dict[str, Kernel] = {
             "the topology's rack ranges",
         ),
         stepper=HierarchicalGoLeftStepper,
-        vectorized=run_hierarchical_go_left_vectorized,
         batched="speculate-verify balls (prefix_conflicts)",
     ),
     "locality_two_choice": Kernel(
@@ -1012,7 +380,6 @@ KERNELS: Dict[str, Kernel] = {
             "ties float(d) per ball (the Bresenham remap draws nothing)",
         ),
         stepper=LocalityTwoChoiceStepper,
-        vectorized=run_locality_two_choice_vectorized,
         batched="independent-round batches (_locality_batch)",
     ),
 }

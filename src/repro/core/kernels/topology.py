@@ -20,11 +20,11 @@ observational and never touch the random stream.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ...topology.records import Topology, as_topology
+from ...topology.records import Topology, as_topology, zone_counter_extra
 from ...topology.schemes import local_probe_slots, locality_select
 from ..baselines import _CHUNK as _BALL_CHUNK
 from ..baselines import _make_rng, least_loaded_probe
@@ -61,6 +61,9 @@ class _ZoneCounterMixin:
     def zone_counters(self) -> Dict[str, int]:
         """Counter names match :func:`repro.topology.records.zone_counter_extra`."""
         return {attr[1:]: int(getattr(self, attr)) for attr in _ZONE_COUNTER_ATTRS}
+
+    def _result_extra(self) -> Dict[str, Any]:
+        return zone_counter_extra(self.topology, self.zone_counters)
 
     def _count_probe_block(
         self,
@@ -154,6 +157,11 @@ class HierarchicalGoLeftStepper(_ZoneCounterMixin, OnlineStepper):
     @property
     def rounds(self) -> int:
         return self.balls_emitted
+
+    result_policy = "hierarchical"
+
+    def _result_label(self) -> str:
+        return f"hierarchical-go-left[{self.topology.name}]"
 
     def _refill(self) -> None:
         batch = min(self.planned_balls - self._balls_drawn, _BALL_CHUNK)
@@ -291,6 +299,18 @@ class LocalityTwoChoiceStepper(_ZoneCounterMixin, OnlineStepper):
         self._buffer_pos = 0
         self._init_zone_counters()
         self._batch_rounds = min(chunk_rounds, independent_batch_rounds(n_bins, d))
+
+    result_policy = "locality"
+
+    def _result_label(self) -> str:
+        return f"locality-two-choice[{self.topology.name}]"
+
+    def _result_extra(self) -> Dict[str, Any]:
+        return {
+            **super()._result_extra(),
+            "bias": float(self.bias),
+            "threshold": int(self.threshold),
+        }
 
     def _refill(self) -> None:
         chunk = min(self.full_rounds - self._rounds_drawn, self.chunk_rounds)

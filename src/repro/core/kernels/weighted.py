@@ -13,7 +13,7 @@ speculate-verify rounds through :func:`_weighted_batch`.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -21,7 +21,13 @@ from ..baselines import _make_rng
 from ..batched import ConflictScratch, clean_segments, prefix_conflicts
 from ..process import _DEFAULT_CHUNK_ROUNDS
 from ..types import ProcessParams
-from ..weighted import WeightSpec, make_weights, weighted_round_apply
+from ..weighted import (
+    WeightSpec,
+    make_weights,
+    weight_spec_name,
+    weighted_extra,
+    weighted_round_apply,
+)
 from .base import (
     _PLACED,
     OnlineStepper,
@@ -138,6 +144,7 @@ class WeightedKDChoiceStepper(OnlineStepper):
         self._inv_capacity = (
             None if self.capacities is None else 1.0 / self.capacities
         )
+        self.weights_name = weight_spec_name(weights)
         self.rng = _make_rng(seed, rng)
         self.planned_balls = n_bins if n_balls is None else n_balls
         self._weights = make_weights(
@@ -157,6 +164,14 @@ class WeightedKDChoiceStepper(OnlineStepper):
         self._tail_done = False
         self._batch_rounds = speculative_batch_rows(n_bins, k * d)
         self._scratch = ConflictScratch(n_bins)
+
+    result_policy = "weighted-strict"
+
+    def _result_label(self) -> str:
+        return f"weighted-({self.k},{self.d})-choice[{self.weights_name}]"
+
+    def _result_extra(self) -> Dict[str, Any]:
+        return weighted_extra(self.weighted_loads, float(self._weights.sum()))
 
     def ball_weight(self, ball_index: int) -> float:
         """The weight the stream's ``ball_index``-th ball carries."""

@@ -48,8 +48,8 @@ def strict_select(
     """Strict (k, d)-choice selection with an explicit tie-break vector.
 
     This is the policy kernel shared by :class:`StrictPolicy` (which draws
-    ``tiebreak`` from its generator) and the vectorized engine in
-    :mod:`repro.core.vectorized` (which pre-draws tie-break blocks so that its
+    ``tiebreak`` from its generator) and the batch kernels in
+    :mod:`repro.core.kernels` (which pre-draw tie-break blocks so that their
     random stream matches the scalar process draw for draw).
     """
     d = len(samples)

@@ -20,8 +20,9 @@ asking for more balls than bins.
    The canonical front door of the library is :func:`repro.api.simulate`
    with ``SchemeSpec(scheme="kd_choice", ...)``: it validates parameters
    against the scheme registry and can select the vectorized batch engine
-   (:mod:`repro.core.vectorized`), which is seed-for-seed identical to this
-   scalar reference.  :func:`run_kd_choice` is kept as a thin shim.
+   (derived from the kernel table, :mod:`repro.core.kernels`), which is
+   seed-for-seed identical to this scalar reference.
+   :func:`run_kd_choice` is kept as a thin shim.
 """
 
 from __future__ import annotations
@@ -243,9 +244,10 @@ def run_kd_choice(
         # The fill-aware process is defined by the streaming kernel
         # (KDChoiceStepper.step); the batch drive loop declines its batched
         # apply under capacities, so this runs the per-round reference path.
-        from .kernels.table import run_kd_choice_vectorized
+        from .kernels.table import KERNELS, drive
 
-        result = run_kd_choice_vectorized(
+        result = drive(
+            KERNELS["kd_choice"], "numpy",
             n_bins=n_bins, k=k, d=d, n_balls=n_balls, policy=policy,
             seed=seed, rng=rng, chunk_rounds=chunk_rounds,
             capacities=capacities,

@@ -15,7 +15,7 @@ Weight distributions supported out of the box: constant, exponential, Pareto
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -82,6 +82,31 @@ def make_weights(
     return weights
 
 
+def weight_spec_name(weights: WeightSpec) -> str:
+    """The label a weight spec carries in a result's scheme name."""
+    if isinstance(weights, str):
+        return weights
+    if callable(weights):
+        return getattr(weights, "__name__", "custom")
+    return "explicit"
+
+
+def weighted_extra(weighted_loads: np.ndarray, total_weight: float) -> Dict[str, Any]:
+    """The ``extra`` entries every weighted engine reports."""
+    return {
+        "weighted_loads": weighted_loads,
+        "total_weight": total_weight,
+        "max_weighted_load": (
+            float(weighted_loads.max()) if weighted_loads.size else 0.0
+        ),
+        "weighted_gap": (
+            float(weighted_loads.max() - total_weight / weighted_loads.size)
+            if weighted_loads.size
+            else 0.0
+        ),
+    }
+
+
 def weighted_round_apply(
     loads: np.ndarray,
     counts: np.ndarray,
@@ -97,9 +122,9 @@ def weighted_round_apply(
     the multiplicity stacking of the strict rule), the ``len(batch_weights)``
     lowest slots are kept, and the balls are matched heaviest-first to the
     least-loaded kept slots.  ``tiebreaks`` is the round's explicit tie-break
-    vector, pre-drawn by the caller so the scalar process and the vectorized
-    engine (:mod:`repro.core.vectorized`) consume the random stream in the
-    same order.
+    vector, pre-drawn by the caller so the scalar process and the weighted
+    kernel (:mod:`repro.core.kernels.weighted`) consume the random stream in
+    the same order.
 
     Returns the destination bins in ball order (heaviest ball first), which
     is how the streaming allocator (:mod:`repro.online`) hands them out.
@@ -224,7 +249,10 @@ class WeightedKDChoiceProcess:
         total_weight = float(weights.sum())
         return AllocationResult(
             loads=counts,
-            scheme=f"weighted-({self.k},{self.d})-choice[{self._spec_name()}]",
+            scheme=(
+                f"weighted-({self.k},{self.d})-choice"
+                f"[{weight_spec_name(self.weights_spec)}]"
+            ),
             n_bins=self.n_bins,
             n_balls=n_balls,
             k=self.k,
@@ -232,22 +260,8 @@ class WeightedKDChoiceProcess:
             messages=messages,
             rounds=rounds,
             policy="weighted-strict",
-            extra={
-                "weighted_loads": loads,
-                "total_weight": total_weight,
-                "max_weighted_load": float(loads.max()) if loads.size else 0.0,
-                "weighted_gap": float(loads.max() - total_weight / self.n_bins)
-                if loads.size
-                else 0.0,
-            },
+            extra=weighted_extra(loads, total_weight),
         )
-
-    def _spec_name(self) -> str:
-        if isinstance(self.weights_spec, str):
-            return self.weights_spec
-        if callable(self.weights_spec):
-            return getattr(self.weights_spec, "__name__", "custom")
-        return "explicit"
 
 
 def run_weighted_kd_choice(
@@ -274,9 +288,10 @@ def run_weighted_kd_choice(
         # (WeightedKDChoiceStepper.step); the batch drive loop declines its
         # batched apply under capacities, so this runs the per-round
         # reference path with the identical draw blocks.
-        from .kernels.table import run_weighted_kd_choice_vectorized
+        from .kernels.table import KERNELS, drive
 
-        result = run_weighted_kd_choice_vectorized(
+        result = drive(
+            KERNELS["weighted_kd_choice"], "numpy",
             n_bins=n_bins, k=k, d=d, weights=weights, n_balls=n_balls,
             mean_weight=mean_weight, seed=seed, rng=rng,
             capacities=capacities,

@@ -19,11 +19,12 @@ Key pieces
     captures a workload (substrate arrival processes, churn) once;
     :func:`~repro.online.trace.replay_trace` replays it deterministically
     across engines.  CLI: ``repro stream`` / ``repro replay``.
-:mod:`~repro.online.steppers`
-    The per-scheme streaming engines underneath, mirroring each scalar
-    runner's RNG blocks exactly.
+:mod:`~repro.core.kernels`
+    The per-scheme steppers underneath, mirroring each scalar runner's RNG
+    blocks exactly.
 """
 
+from ..core.kernels import OnlineStepper, StreamExhausted
 from .allocator import (
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
@@ -33,7 +34,6 @@ from .allocator import (
     snapshot_digest,
     write_snapshot,
 )
-from .steppers import OnlineStepper, StreamExhausted
 from .telemetry import LoadTelemetry, TelemetrySample
 from .trace import (
     TRACE_FORMAT,

@@ -51,7 +51,7 @@ from ..api.registry import (
     online_unsupported_reason,
 )
 from ..api.spec import SchemeSpec
-from .steppers import OnlineStepper, StreamExhausted
+from ..core.kernels import OnlineStepper, StreamExhausted
 from .telemetry import LoadTelemetry
 
 __all__ = [

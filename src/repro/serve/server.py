@@ -24,7 +24,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..api.spec import SchemeSpec
 from .pool import ShardPool, ShardPoolError
@@ -105,6 +105,9 @@ class AllocationServer:
         )
         self._stopped: Optional[asyncio.Event] = None
         self._stopping = False
+        # Open connections: each one's reader and its handler task, so
+        # stop() can end them.
+        self._connections: Dict[asyncio.StreamReader, asyncio.Task] = {}
         # Counters reported by the stats op (and the CI smoke step).
         self.requests = 0
         self.places = 0
@@ -156,6 +159,12 @@ class AllocationServer:
         self._stopping = True
         if self._server is not None:
             self._server.close()
+            # Wake every handler blocked on its next request line; each
+            # finishes its in-flight requests and closes its connection.
+            handlers = list(self._connections.values())
+            for reader in self._connections:
+                reader.set_exception(ConnectionAbortedError("the server is stopping"))
+            await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
         if self._batcher is not None:
             await self._queue.put(_STOP)
@@ -296,9 +305,12 @@ class AllocationServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         write_lock = asyncio.Lock()
-        tasks: List[asyncio.Task] = []
+        # Only in-flight requests: a finished task drops out of the set.
+        tasks: Set[asyncio.Task] = set()
+        if not self._stopping:
+            self._connections[reader] = asyncio.current_task()
         try:
-            while True:
+            while not self._stopping:
                 line = await reader.readline()
                 if not line:
                     break
@@ -307,12 +319,13 @@ class AllocationServer:
                 # One task per request: responses go out as they resolve
                 # (matched by id), so a pipelining client keeps the batch
                 # window full instead of ping-ponging per request.
-                tasks.append(
-                    asyncio.create_task(
-                        self._serve_request(line, writer, write_lock)
-                    )
+                task = asyncio.create_task(
+                    self._serve_request(line, writer, write_lock)
                 )
-        except (ConnectionResetError, asyncio.IncompleteReadError):
+                tasks.add(task)
+                task.add_done_callback(tasks.discard)
+                del task  # the set alone keeps it, and only while in flight
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
             if tasks:
@@ -320,8 +333,9 @@ class AllocationServer:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
+            except ConnectionError:  # pragma: no cover
                 pass
+            self._connections.pop(reader, None)
 
     async def _serve_request(
         self,
@@ -344,7 +358,7 @@ class AllocationServer:
             writer.write(encode(response))
             try:
                 await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
+            except ConnectionError:
                 pass
 
     async def _dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:

@@ -22,10 +22,11 @@ Two schemes generalize the paper's flat processes onto a
     parity holds for *any* bias.
 
 Both runners draw the same RNG blocks as their derived engines (the
-steppers in :mod:`repro.core.kernels.topology` and the vectorized runners
-in the kernel table), which is what makes seed-for-seed equivalence
-testable.  Costs never touch the random stream: they are accounted after
-the fact through :func:`~repro.topology.records.zone_counter_extra`.
+steppers in :mod:`repro.core.kernels.topology`, which the kernel table's
+``drive`` also runs as the vectorized engine), which is what makes
+seed-for-seed equivalence testable.  Costs never touch the random stream:
+they are accounted after the fact through
+:func:`~repro.topology.records.zone_counter_extra`.
 """
 
 from __future__ import annotations

@@ -5,9 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import SchemeSpec, resolve_engine, simulate, simulate_many, simulate_trials
+from repro.api import (
+    SchemeSpec,
+    get_scheme,
+    resolve_engine,
+    simulate,
+    simulate_many,
+    simulate_trials,
+)
 from repro.core.process import run_kd_choice
-from repro.core.vectorized import run_kd_choice_vectorized
 from repro.simulation.rng import SeedTree
 
 #: Configurations spanning the engine's regimes: generic k < d, two-choice,
@@ -28,7 +34,7 @@ class TestVectorizedEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 42])
     def test_identical_load_vectors_for_fixed_seed(self, params, seed):
         scalar = run_kd_choice(seed=seed, **params)
-        vectorized = run_kd_choice_vectorized(seed=seed, **params)
+        vectorized = get_scheme("kd_choice").vectorized(seed=seed, **params)
         assert np.array_equal(scalar.loads, vectorized.loads)
         assert scalar.messages == vectorized.messages
         assert scalar.rounds == vectorized.rounds
@@ -47,14 +53,16 @@ class TestVectorizedEquivalence:
 
     def test_vectorized_rejects_non_strict_policy(self):
         with pytest.raises(ValueError, match="strict"):
-            run_kd_choice_vectorized(n_bins=64, k=2, d=4, policy="greedy")
+            get_scheme("kd_choice").vectorized(n_bins=64, k=2, d=4, policy="greedy")
 
     def test_vectorized_validates_geometry(self):
         with pytest.raises(ValueError):
-            run_kd_choice_vectorized(n_bins=8, k=4, d=2)
+            get_scheme("kd_choice").vectorized(n_bins=8, k=4, d=2)
 
     def test_conservation_and_result_shape(self):
-        result = run_kd_choice_vectorized(n_bins=256, k=3, d=7, n_balls=1000, seed=5)
+        result = get_scheme("kd_choice").vectorized(
+            n_bins=256, k=3, d=7, n_balls=1000, seed=5
+        )
         assert result.total_balls_check()
         assert result.extra["engine"] == "vectorized"
         assert result.extra["expected_messages"] == result.messages

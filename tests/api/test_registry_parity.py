@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.api import get_scheme, lint_registry
-from repro.api.lint import _kernel_surface_violations, _shim_purity_violations
+from repro.api.lint import _kernel_surface_violations
 from repro.core.kernels import EXEMPT_SCHEMES, KERNELS
 
 
@@ -36,31 +36,11 @@ class TestRealRegistryIsClean:
         # contract removed.
         for name, kernel in KERNELS.items():
             info = get_scheme(name)
-            assert info.vectorized is kernel.vectorized
+            assert info.vectorized is kernel.engines.get("vectorized")
+            assert info.compiled is kernel.engines.get("compiled")
             assert info.online is kernel.stepper
             assert info.vectorized_guard is kernel.vectorized_guard
             assert info.vectorized_fastpath_guard is kernel.fastpath_guard
-
-    def test_shim_modules_define_nothing(self):
-        import repro.core.vectorized as vec_shim
-        import repro.online.steppers as steppers_shim
-
-        for module in (vec_shim, steppers_shim):
-            owned = [
-                symbol
-                for symbol, value in vars(module).items()
-                if not symbol.startswith("__")
-                and getattr(value, "__module__", None) == module.__name__
-            ]
-            assert owned == [], f"{module.__name__} defines {owned}"
-
-    def test_shim_exports_resolve_to_kernel_objects(self):
-        from repro.core import vectorized as vec_shim
-        from repro.core.kernels import table
-        from repro.online import steppers as steppers_shim
-
-        assert vec_shim.run_kd_choice_vectorized is table.run_kd_choice_vectorized
-        assert steppers_shim.KDChoiceStepper is KERNELS["kd_choice"].stepper
 
 
 class TestLintCatchesDrift:
@@ -86,17 +66,6 @@ class TestLintCatchesDrift:
         )
         problems = _kernel_surface_violations()
         assert any("kd_choice" in p and "kernel-backed" in p for p in problems)
-
-    def test_symbol_defined_in_shim_is_a_violation(self, monkeypatch):
-        import repro.core.vectorized as vec_shim
-
-        def _rogue():  # pragma: no cover - never called
-            return None
-
-        _rogue.__module__ = "repro.core.vectorized"
-        monkeypatch.setattr(vec_shim, "_rogue", _rogue, raising=False)
-        problems = _shim_purity_violations()
-        assert any("repro.core.vectorized" in p and "_rogue" in p for p in problems)
 
 
 def _replace(info, **overrides):

@@ -23,7 +23,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import vectorized as vec
+from repro.api import get_scheme
 from repro.core.adaptive import run_threshold_adaptive, run_two_phase_adaptive
 from repro.core.baselines import (
     run_always_go_left,
@@ -31,6 +31,7 @@ from repro.core.baselines import (
     run_one_plus_beta,
 )
 from repro.core.dynamic import run_churn_kd_choice
+from repro.core.kernels.churn import run_churn_kd_choice_vectorized
 from repro.core.process import run_kd_choice
 from repro.core.serialization import run_serialized_kd_choice
 from repro.core.stale import run_stale_kd_choice
@@ -44,6 +45,11 @@ except ImportError:  # pragma: no cover - exercised only without the dep
     HAVE_HYPOTHESIS = False
 
 MASTER_SEED = 20260728
+
+
+def _vectorized(scheme):
+    """The scheme's registered vectorized engine."""
+    return get_scheme(scheme).vectorized
 
 
 def _paired_rngs(seed):
@@ -73,7 +79,7 @@ def _assert_equivalent(scalar_result, vector_result, scalar_rng, vector_rng):
 def check_kd_choice(n_bins, k, d, n_balls, seed):
     a, b = _paired_rngs(seed)
     scalar = run_kd_choice(n_bins=n_bins, k=k, d=d, n_balls=n_balls, rng=a)
-    vector = vec.run_kd_choice_vectorized(n_bins=n_bins, k=k, d=d, n_balls=n_balls, rng=b)
+    vector = _vectorized("kd_choice")(n_bins=n_bins, k=k, d=d, n_balls=n_balls, rng=b)
     _assert_equivalent(scalar, vector, a, b)
 
 
@@ -82,7 +88,7 @@ def check_kd_choice_streaming(n_bins, k, d, n_balls, seed, chunk_rounds):
     scalar = run_kd_choice(
         n_bins=n_bins, k=k, d=d, n_balls=n_balls, rng=a, chunk_rounds=chunk_rounds
     )
-    vector = vec.run_kd_choice_vectorized(
+    vector = _vectorized("kd_choice")(
         n_bins=n_bins, k=k, d=d, n_balls=n_balls, rng=b, chunk_rounds=chunk_rounds
     )
     _assert_equivalent(scalar, vector, a, b)
@@ -93,7 +99,7 @@ def check_weighted(n_bins, k, d, n_balls, seed, weights):
     scalar = run_weighted_kd_choice(
         n_bins=n_bins, k=k, d=d, weights=weights, n_balls=n_balls, rng=a
     )
-    vector = vec.run_weighted_kd_choice_vectorized(
+    vector = _vectorized("weighted_kd_choice")(
         n_bins=n_bins, k=k, d=d, weights=weights, n_balls=n_balls, rng=b
     )
     _assert_equivalent(scalar, vector, a, b)
@@ -108,7 +114,7 @@ def check_stale(n_bins, k, d, n_balls, seed, stale_rounds):
     scalar = run_stale_kd_choice(
         n_bins=n_bins, k=k, d=d, stale_rounds=stale_rounds, n_balls=n_balls, rng=a
     )
-    vector = vec.run_stale_kd_choice_vectorized(
+    vector = _vectorized("stale_kd_choice")(
         n_bins=n_bins, k=k, d=d, stale_rounds=stale_rounds, n_balls=n_balls, rng=b
     )
     _assert_equivalent(scalar, vector, a, b)
@@ -119,7 +125,7 @@ def check_churn(n_bins, k, d, rounds, seed, departures):
     scalar = run_churn_kd_choice(
         n_bins=n_bins, k=k, d=d, rounds=rounds, departures_per_round=departures, rng=a
     )
-    vector = vec.run_churn_kd_choice_vectorized(
+    vector = run_churn_kd_choice_vectorized(
         n_bins=n_bins, k=k, d=d, rounds=rounds, departures_per_round=departures, rng=b
     )
     _assert_equivalent(scalar, vector, a, b)
@@ -131,7 +137,7 @@ def check_churn(n_bins, k, d, rounds, seed, departures):
 def check_d_choice(n_bins, d, n_balls, seed):
     a, b = _paired_rngs(seed)
     scalar = run_d_choice(n_bins=n_bins, d=d, n_balls=n_balls, rng=a)
-    vector = vec.run_d_choice_vectorized(n_bins=n_bins, d=d, n_balls=n_balls, rng=b)
+    vector = _vectorized("d_choice")(n_bins=n_bins, d=d, n_balls=n_balls, rng=b)
     _assert_equivalent(scalar, vector, a, b)
     assert scalar.scheme == vector.scheme
 
@@ -139,7 +145,7 @@ def check_d_choice(n_bins, d, n_balls, seed):
 def check_one_plus_beta(n_bins, beta, n_balls, seed):
     a, b = _paired_rngs(seed)
     scalar = run_one_plus_beta(n_bins=n_bins, beta=beta, n_balls=n_balls, rng=a)
-    vector = vec.run_one_plus_beta_vectorized(
+    vector = _vectorized("one_plus_beta")(
         n_bins=n_bins, beta=beta, n_balls=n_balls, rng=b
     )
     _assert_equivalent(scalar, vector, a, b)
@@ -148,7 +154,7 @@ def check_one_plus_beta(n_bins, beta, n_balls, seed):
 def check_always_go_left(n_bins, d, n_balls, seed):
     a, b = _paired_rngs(seed)
     scalar = run_always_go_left(n_bins=n_bins, d=d, n_balls=n_balls, rng=a)
-    vector = vec.run_always_go_left_vectorized(
+    vector = _vectorized("always_go_left")(
         n_bins=n_bins, d=d, n_balls=n_balls, rng=b
     )
     _assert_equivalent(scalar, vector, a, b)
@@ -159,7 +165,7 @@ def check_threshold_adaptive(n_bins, n_balls, seed, threshold, max_probes):
     scalar = run_threshold_adaptive(
         n_bins=n_bins, n_balls=n_balls, threshold=threshold, max_probes=max_probes, rng=a
     )
-    vector = vec.run_threshold_adaptive_vectorized(
+    vector = _vectorized("threshold_adaptive")(
         n_bins=n_bins, n_balls=n_balls, threshold=threshold, max_probes=max_probes, rng=b
     )
     _assert_equivalent(scalar, vector, a, b)
@@ -174,7 +180,7 @@ def check_serialized(n_bins, k, d, n_balls, seed, sigma):
     scalar = run_serialized_kd_choice(
         n_bins=n_bins, k=k, d=d, n_balls=n_balls, sigma=sigma, rng=a
     )
-    vector = vec.run_serialized_kd_choice_vectorized(
+    vector = _vectorized("serialized_kd_choice")(
         n_bins=n_bins, k=k, d=d, n_balls=n_balls, sigma=sigma, rng=b
     )
     _assert_equivalent(scalar, vector, a, b)
@@ -188,7 +194,7 @@ def check_greedy_kd_choice(n_bins, k, d, n_balls, seed):
     scalar = run_kd_choice(
         n_bins=n_bins, k=k, d=d, n_balls=n_balls, policy="greedy", rng=a
     )
-    vector = vec.run_greedy_kd_choice_vectorized(
+    vector = _vectorized("greedy_kd_choice")(
         n_bins=n_bins, k=k, d=d, n_balls=n_balls, rng=b
     )
     _assert_equivalent(scalar, vector, a, b)
@@ -201,7 +207,7 @@ def check_callable_threshold(n_bins, n_balls, seed, threshold, max_probes):
     scalar = run_threshold_adaptive(
         n_bins=n_bins, n_balls=n_balls, threshold=threshold, max_probes=max_probes, rng=a
     )
-    vector = vec.run_threshold_adaptive_vectorized(
+    vector = _vectorized("threshold_adaptive")(
         n_bins=n_bins, n_balls=n_balls, threshold=threshold, max_probes=max_probes, rng=b
     )
     _assert_equivalent(scalar, vector, a, b)
@@ -213,7 +219,7 @@ def check_two_phase_adaptive(n_bins, n_balls, seed, cap, retry_probes):
     scalar = run_two_phase_adaptive(
         n_bins=n_bins, n_balls=n_balls, cap=cap, retry_probes=retry_probes, rng=a
     )
-    vector = vec.run_two_phase_adaptive_vectorized(
+    vector = _vectorized("two_phase_adaptive")(
         n_bins=n_bins, n_balls=n_balls, cap=cap, retry_probes=retry_probes, rng=b
     )
     _assert_equivalent(scalar, vector, a, b)
@@ -475,13 +481,17 @@ if HAVE_HYPOTHESIS:
 # Skipped wholesale when the backend cannot build here (no compiler/cffi).
 # ----------------------------------------------------------------------
 from repro.core.compiled import backend_unavailable_reason  # noqa: E402
-from repro.core.kernels import table as ktable  # noqa: E402
 
 _COMPILED_REASON = backend_unavailable_reason()
 requires_compiled = pytest.mark.skipif(
     _COMPILED_REASON is not None,
     reason=f"compiled backend unavailable: {_COMPILED_REASON}",
 )
+
+
+def _compiled(scheme):
+    """The scheme's registered compiled engine."""
+    return get_scheme(scheme).compiled
 
 
 def _assert_compiled_equivalent(scalar_fn, compiled_fn, kwargs, seed):
@@ -498,7 +508,7 @@ class TestCompiledEquivalence:
     @pytest.mark.parametrize("case", _KD_CASES, ids=_ids(_KD_CASES))
     def test_kd_choice(self, case):
         _assert_compiled_equivalent(
-            run_kd_choice, ktable.run_kd_choice_compiled,
+            run_kd_choice, _compiled("kd_choice"),
             dict(n_bins=case["n_bins"], k=case["k"], d=case["d"],
                  n_balls=case["n_balls"]),
             case["seed"],
@@ -508,7 +518,7 @@ class TestCompiledEquivalence:
     @pytest.mark.parametrize("chunk_rounds", [1, 7, 64, 4096])
     def test_kd_choice_streaming_chunks(self, case, chunk_rounds):
         _assert_compiled_equivalent(
-            run_kd_choice, ktable.run_kd_choice_compiled,
+            run_kd_choice, _compiled("kd_choice"),
             dict(n_bins=case["n_bins"], k=case["k"], d=case["d"],
                  n_balls=case["n_balls"], chunk_rounds=chunk_rounds),
             case["seed"],
@@ -518,7 +528,7 @@ class TestCompiledEquivalence:
     def test_weighted(self, case):
         weights = ("constant", "exponential", "pareto")[case["index"] % 3]
         scalar, compiled = _assert_compiled_equivalent(
-            run_weighted_kd_choice, ktable.run_weighted_kd_choice_compiled,
+            run_weighted_kd_choice, _compiled("weighted_kd_choice"),
             dict(n_bins=case["n_bins"], k=case["k"], d=case["d"],
                  weights=weights, n_balls=case["n_balls"]),
             case["seed"],
@@ -532,7 +542,7 @@ class TestCompiledEquivalence:
     def test_stale(self, case):
         stale_rounds = (1, 2, 8, 64)[case["index"] % 4]
         _assert_compiled_equivalent(
-            run_stale_kd_choice, ktable.run_stale_kd_choice_compiled,
+            run_stale_kd_choice, _compiled("stale_kd_choice"),
             dict(n_bins=case["n_bins"], k=case["k"], d=case["d"],
                  stale_rounds=stale_rounds, n_balls=case["n_balls"]),
             case["seed"],
@@ -541,7 +551,7 @@ class TestCompiledEquivalence:
     @pytest.mark.parametrize("case", _BASELINE_CASES, ids=_ids(_BASELINE_CASES))
     def test_d_choice_and_two_choice(self, case):
         _assert_compiled_equivalent(
-            run_d_choice, ktable.run_d_choice_compiled,
+            run_d_choice, _compiled("d_choice"),
             dict(n_bins=case["n_bins"], d=case["d"], n_balls=case["n_balls"]),
             case["seed"],
         )
@@ -549,7 +559,7 @@ class TestCompiledEquivalence:
         scalar = run_d_choice(
             n_bins=case["n_bins"], d=2, n_balls=case["n_balls"], rng=a
         )
-        compiled = ktable.run_two_choice_compiled(
+        compiled = _compiled("two_choice")(
             n_bins=case["n_bins"], n_balls=case["n_balls"], rng=b
         )
         assert np.array_equal(scalar.loads, compiled.loads)
@@ -561,7 +571,7 @@ class TestCompiledEquivalence:
     def test_one_plus_beta(self, case):
         beta = (0.0, 0.25, 0.5, 1.0)[case["index"] % 4]
         _assert_compiled_equivalent(
-            run_one_plus_beta, ktable.run_one_plus_beta_compiled,
+            run_one_plus_beta, _compiled("one_plus_beta"),
             dict(n_bins=case["n_bins"], beta=beta, n_balls=case["n_balls"]),
             case["seed"],
         )
@@ -569,7 +579,7 @@ class TestCompiledEquivalence:
     @pytest.mark.parametrize("case", _BASELINE_CASES, ids=_ids(_BASELINE_CASES))
     def test_always_go_left(self, case):
         _assert_compiled_equivalent(
-            run_always_go_left, ktable.run_always_go_left_compiled,
+            run_always_go_left, _compiled("always_go_left"),
             dict(n_bins=case["n_bins"], d=case["d"], n_balls=case["n_balls"]),
             case["seed"],
         )
@@ -579,7 +589,7 @@ class TestCompiledEquivalence:
         threshold = (None, 0, 2, None)[case["index"] % 4]
         max_probes = (None, 1, 3, 9)[case["index"] % 4]
         scalar, compiled = _assert_compiled_equivalent(
-            run_threshold_adaptive, ktable.run_threshold_adaptive_compiled,
+            run_threshold_adaptive, _compiled("threshold_adaptive"),
             dict(n_bins=case["n_bins"], n_balls=case["n_balls"],
                  threshold=threshold, max_probes=max_probes),
             case["seed"],
@@ -591,7 +601,7 @@ class TestCompiledEquivalence:
         cap = (None, 1, 2, 5)[case["index"] % 4]
         retry_probes = (1, 2, 4, 8)[case["index"] % 4]
         scalar, compiled = _assert_compiled_equivalent(
-            run_two_phase_adaptive, ktable.run_two_phase_adaptive_compiled,
+            run_two_phase_adaptive, _compiled("two_phase_adaptive"),
             dict(n_bins=case["n_bins"], n_balls=case["n_balls"], cap=cap,
                  retry_probes=retry_probes),
             case["seed"],

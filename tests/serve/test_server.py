@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import logging
 import threading
 
 import pytest
@@ -224,6 +226,53 @@ class TestServer:
         )))
         with ShardPool.load(path) as restored:
             assert restored.placed == 30
+
+    def test_finished_request_tasks_are_released(self):
+        # A long-lived pipelining connection must not keep one finished
+        # Task per request alive until it closes.
+        async def body(server):
+            client = await ServeClient.connect("127.0.0.1", server.port)
+            try:
+                await asyncio.gather(*(client.place() for _ in range(500)))
+                await asyncio.sleep(0.05)  # let the last requests finish
+                gc.collect()
+                finished = [
+                    task
+                    for task in gc.get_objects()
+                    if isinstance(task, asyncio.Task)
+                    and task.done()
+                    and task.get_coro().__qualname__
+                    == "AllocationServer._serve_request"
+                ]
+                assert finished == []
+            finally:
+                await client.close()
+
+        run(with_server(body))
+
+    def test_stop_with_client_connected_closes_it_cleanly(self, caplog):
+        async def body():
+            server = AllocationServer(
+                SPEC, ServeConfig(n_shards=2, mode="thread")
+            )
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(protocol.encode({"id": 1, "op": "ping"}))
+            await writer.drain()
+            assert json.loads(await reader.readline())["ok"]
+            await server.stop()
+            try:
+                # The server hung up on the idle connection.
+                return await asyncio.wait_for(reader.read(), timeout=5)
+            finally:
+                writer.close()
+
+        with caplog.at_level(logging.ERROR):
+            assert run(body()) == b""
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == []
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="exactly one"):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 import repro
@@ -37,6 +39,31 @@ def test_all_has_no_duplicates():
 def test_shims_are_gone(name):
     assert not hasattr(repro, name), f"repro.{name} should have been removed"
     assert name not in repro.__all__
+
+
+#: Modules that only re-exported the per-scheme batch engines and steppers.
+_REMOVED_SHIM_MODULES = ("repro.core.vectorized", "repro.online.steppers")
+
+
+@pytest.mark.parametrize("module", _REMOVED_SHIM_MODULES)
+def test_shim_modules_are_gone(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+
+
+@pytest.mark.parametrize("package", ["repro.core", "repro.core.kernels"])
+def test_packages_export_no_per_scheme_batch_runners(package):
+    # The batch engines are reached through the registry
+    # (get_scheme(name).vectorized / .compiled), not by name.
+    module = importlib.import_module(package)
+    exported = set(module.__all__) | set(vars(module))
+    runners = sorted(
+        name
+        for name in exported
+        if name.startswith("run_")
+        and (name.endswith("_vectorized") or name.endswith("_compiled"))
+    )
+    assert runners == []
 
 
 def test_core_still_exposes_the_reference_runners():
