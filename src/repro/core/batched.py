@@ -3,14 +3,30 @@
 Every fast path in :mod:`repro.core.kernels` faces the same problem: the
 scalar reference processes place balls *sequentially* (each placement changes
 the loads the next ball reads), while NumPy wants to evaluate many balls at
-once.  Two primitives make batching exact:
+once.  These primitives make batching exact:
+
+``add_repeat_counts`` and ``strict_key_offsets``
+    The strict rule as one int64 key per sampled slot.  Slot ``j`` of a
+    round holding bin ``b`` has height ``loads[b] + m_j + 1``, where ``m_j``
+    counts the earlier occurrences of ``b`` in the same round (the exact
+    multiplicity rule of :func:`~repro.core.policies.strict_select`), and
+    ties break by the slot's stable tie-break rank.  The key is
+    ``loads[b] * d + offsets[j]``, so a batch kernel re-keys a round
+    against new loads with one gather, one multiply and one add, and rounds
+    that sample a bin twice need no special case.
 
 ``strict_select_rows``
     Row-wise strict (k, d)-choice selection where every row sees the *same*
-    load snapshot (rows are independent by construction — stale epochs, or
-    conflict-free batches).  Rows that sample a bin twice fall back to the
-    scalar kernel :func:`~repro.core.policies.strict_select`, so the result
-    is bit-for-bit what the scalar policy would produce.
+    load snapshot (stale epochs).  Bit-for-bit what the scalar policy would
+    produce, duplicated samples included.
+
+``conflict_free_prefix``
+    The speculate-and-truncate primitive for the (k, d) rounds: given every
+    row's provisional destinations against the current loads, the length of
+    the leading run of rows whose destinations no earlier row of the run
+    writes (a first-writer scatter into a :class:`ConflictScratch`).  Those
+    rows are exact; the caller applies them and re-speculates from the first
+    conflicting row, so nothing is ever replayed through a scalar kernel.
 
 ``prefix_conflicts``
     The speculate-verify primitive for genuinely sequential processes.  The
@@ -38,13 +54,14 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from .policies import strict_select
-
 __all__ = [
     "stable_tiebreak_ranks",
     "ball_order_kept",
+    "add_repeat_counts",
+    "strict_key_offsets",
     "strict_select_rows",
     "ConflictScratch",
+    "conflict_free_prefix",
     "prefix_conflicts",
     "clean_segments",
 ]
@@ -61,9 +78,9 @@ def ball_order_kept(keys: np.ndarray, kept: np.ndarray) -> np.ndarray:
     exactly.  Shared by every batch kernel that captures destinations for
     the streaming allocator.
     """
-    kept_keys = np.take_along_axis(keys, kept, axis=1)
-    order = np.argsort(kept_keys, axis=1, kind="stable")
-    return np.take_along_axis(kept, order, axis=1)
+    rows = np.arange(len(kept))[:, None]
+    order = np.argsort(keys[rows, kept], axis=1, kind="stable")
+    return kept[rows, order]
 
 
 def stable_tiebreak_ranks(tiebreaks: np.ndarray) -> np.ndarray:
@@ -78,10 +95,56 @@ def stable_tiebreak_ranks(tiebreaks: np.ndarray) -> np.ndarray:
     batch, d = tiebreaks.shape
     order = np.argsort(tiebreaks, axis=1, kind="stable")
     ranks = np.empty_like(order)
-    np.put_along_axis(
-        ranks, order, np.broadcast_to(np.arange(d), (batch, d)), axis=1
-    )
+    ranks[np.arange(batch)[:, None], order] = np.arange(d)
     return ranks
+
+
+def add_repeat_counts(target: np.ndarray, samples: np.ndarray, scale: int = 1) -> None:
+    """Add ``scale * m`` to ``target`` slot by slot, in place.
+
+    ``m`` counts the earlier slots of the same row holding the same bin:
+    the strict rule's height is ``loads[b] + m + 1``.  Only rows that sample
+    some bin twice (a ~``d^2 / 2n`` fraction) are touched or pay for the
+    argsort.
+    """
+    row_sorted = np.sort(samples, axis=1)
+    repeated = np.flatnonzero((row_sorted[:, 1:] == row_sorted[:, :-1]).any(axis=1))
+    if not repeated.size:
+        return
+    rows = samples[repeated]
+    batch, d = rows.shape
+    order = np.argsort(rows, axis=1, kind="stable")
+    ordered = np.take_along_axis(rows, order, axis=1)
+    columns = np.broadcast_to(np.arange(d), (batch, d))
+    run_start = np.where(
+        np.concatenate(
+            (np.ones((batch, 1), dtype=bool), ordered[:, 1:] != ordered[:, :-1]),
+            axis=1,
+        ),
+        columns,
+        0,
+    )
+    # The stable sort keeps equal bins in slot order, so a slot's offset in
+    # its run of equal bins is its count of earlier occurrences.
+    earlier = np.empty((batch, d), dtype=np.int64)
+    np.put_along_axis(
+        earlier, order, columns - np.maximum.accumulate(run_start, axis=1), axis=1
+    )
+    target[repeated] += scale * earlier
+
+
+def strict_key_offsets(samples: np.ndarray, tiebreaks: np.ndarray) -> np.ndarray:
+    """The load-independent part of every slot's strict-rule key.
+
+    Returns ``m * d + rank`` per slot (``m`` as in
+    :func:`add_repeat_counts`, ``rank`` the stable tie-break rank), so
+    ``loads[samples] * d + offsets`` orders a row's slots exactly as
+    :func:`~repro.core.policies.strict_select` does: ``rank < d``, and keys
+    within a row are distinct.
+    """
+    offsets = stable_tiebreak_ranks(tiebreaks)
+    add_repeat_counts(offsets, samples, scale=samples.shape[1])
+    return offsets
 
 
 def strict_select_rows(
@@ -96,60 +159,77 @@ def strict_select_rows(
     Rows are independent: each sees ``loads`` exactly as passed (no
     placements are applied here).  Returns the ``(B, k)`` destination bins;
     their order within a row is unspecified (callers apply them with
-    ``bincount``-style adds, which are order-insensitive) unless
+    ``np.add.at``-style adds, which are order-insensitive) unless
     ``ordered=True``, which sorts each row into *ball order* — the exact
     order the scalar :func:`~repro.core.policies.strict_select` kernel
     returns — for callers that hand destinations out one ball at a time
     (the streaming allocator).
+
+    One-ball rows need no tie-break ranks (a per-row argsort): the lowest
+    height wins, then the smallest tie-break among the lowest, and
+    ``argmin`` takes the first of bit-equal doubles exactly as the scalar
+    lexsort does.
     """
-    batch, d = samples.shape
-    destinations = np.empty((batch, k), dtype=np.int64)
-
-    # Rows that sample some bin twice need the multiplicity-capped heights;
-    # send them to the scalar kernel (a ~d^2/n fraction).
-    row_sorted = np.sort(samples, axis=1)
-    duplicated = (row_sorted[:, 1:] == row_sorted[:, :-1]).any(axis=1)
-    clean = ~duplicated
-
-    if clean.any():
-        rows = samples[clean]
-        heights = loads[rows] + 1
-        ranks = stable_tiebreak_ranks(tiebreaks[clean])
-        keys = heights * np.int64(d) + ranks
+    if k == 1:
+        heights = loads[samples]
+        add_repeat_counts(heights, samples)
+        lowest = heights == heights.min(axis=1, keepdims=True)
+        kept = np.where(lowest, tiebreaks, 2.0).argmin(axis=1)[:, None]
+    else:
+        keys = loads[samples] * np.int64(samples.shape[1])
+        keys += strict_key_offsets(samples, tiebreaks)
         kept = np.argpartition(keys, k - 1, axis=1)[:, :k]
         if ordered:
             kept = ball_order_kept(keys, kept)
-        destinations[clean] = np.take_along_axis(rows, kept, axis=1)
-
-    for index in np.flatnonzero(duplicated):
-        destinations[index] = strict_select(
-            loads, samples[index].tolist(), k, tiebreaks[index]
-        )
-    return destinations
+    return samples[np.arange(len(samples))[:, None], kept]
 
 
 class ConflictScratch:
-    """Reusable first-writer-position buffer for :func:`prefix_conflicts`.
+    """Reusable first-writer-position buffer for :func:`prefix_conflicts`
+    and :func:`conflict_free_prefix`.
 
     Allocating (and clearing) an ``n_bins``-sized array per batch would cost
     O(n) per call; the scratch instead remembers which entries it touched and
     resets only those, so a batch costs O(batch * width).  The row-position
     arange is cached too, so steady-state batches allocate nothing fixed.
+    Positions are row indices within one batch, so 32 bits hold them.
     """
 
-    _SENTINEL = np.iinfo(np.int64).max
+    _SENTINEL = np.iinfo(np.int32).max
 
     def __init__(self, n_bins: int) -> None:
-        self.positions = np.full(n_bins, self._SENTINEL, dtype=np.int64)
-        self._arange = np.arange(0, dtype=np.int64)
+        self.positions = np.full(n_bins, self._SENTINEL, dtype=np.int32)
+        self._arange = np.arange(0, dtype=np.int32)
 
     def row_positions(self, batch: int) -> np.ndarray:
         if len(self._arange) < batch:
-            self._arange = np.arange(batch, dtype=np.int64)
+            self._arange = np.arange(batch, dtype=np.int32)
         return self._arange[:batch]
 
     def reset(self, touched: np.ndarray) -> None:
         self.positions[touched] = self._SENTINEL
+
+
+def conflict_free_prefix(destinations: np.ndarray, scratch: ConflictScratch) -> int:
+    """How many leading rows keep no bin that an earlier row keeps.
+
+    ``destinations`` holds each row's ``k`` provisional destinations, all
+    computed against the same loads.  A row whose destinations no earlier
+    row writes keeps them in the sequential replay: placements only raise
+    loads, so the row's kept keys are unchanged and every other key can only
+    grow (induction over row index).  The caller applies exactly these rows
+    and re-speculates from the first conflicting one.  Row 0 never
+    conflicts, so the result is at least 1 for a non-empty batch.
+    """
+    rows, k = destinations.shape
+    flat = destinations.ravel()
+    positions = np.repeat(scratch.row_positions(rows), k)
+    # First writer per bin; a row keeping one bin twice is its own writer.
+    np.minimum.at(scratch.positions, flat, positions)
+    conflicts = scratch.positions[flat] < positions
+    scratch.reset(flat)
+    first = int(conflicts.argmax())
+    return first // k if conflicts[first] else rows
 
 
 def prefix_conflicts(

@@ -44,7 +44,8 @@ on:
   scalar reference, the derived engine is seed-for-seed identical to it.
 
 * The batch-sizing heuristics (:func:`independent_batch_rounds`,
-  :func:`speculative_batch_rows`) shared by every batched apply.
+  :func:`speculative_batch_rows`) of the topology and per-ball batched
+  applies; the (k, d) family sizes its windows itself.
 """
 
 from __future__ import annotations
@@ -92,6 +93,8 @@ def independent_batch_rounds(n_bins: int, d: int) -> int:
     other ``(B - 1) d`` samples of its batch (or repeats within the round),
     which happens with probability ~``B d^2 / n``.  The batch size balances
     that Python-fallback cost against the fixed per-batch NumPy overhead.
+    Its one user is the topology kernel's ``_locality_batch``; the (k, d)
+    family speculates and truncates instead (``kd.speculation_window``).
     """
     return max(8, min(_CHUNK_ROUNDS, int(n_bins // (12 * d * d)) or 8))
 

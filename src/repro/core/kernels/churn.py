@@ -14,6 +14,7 @@ departure.
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Optional
 
 import numpy as np
@@ -25,6 +26,56 @@ from ..types import AllocationResult, ProcessParams
 from .base import _require_strict
 
 __all__ = ["run_churn_kd_choice_vectorized", "run_churn_allocation_vectorized"]
+
+
+class _LoadIndex:
+    """The load vector as a Fenwick tree plus a load histogram.
+
+    Finding a departing ball's bin (the first bin whose cumulative load
+    exceeds the ball's rank) and every +-1 update cost O(log n_bins), and
+    the maximum load is tracked in O(1) per update, so a round costs
+    nothing proportional to ``n_bins``.
+    """
+
+    def __init__(self, loads: np.ndarray) -> None:
+        size = len(loads)
+        # Node i (1-based) holds the loads of bins (i - lowbit(i), i].
+        cumulative = np.concatenate(([0], np.cumsum(loads)))
+        nodes = np.arange(size + 1)
+        self._tree = array("q", (cumulative - cumulative[nodes - (nodes & -nodes)]).tolist())
+        self._size = size
+        self._top_step = 1 << (size.bit_length() - 1)
+        self._histogram = np.bincount(loads).tolist()  # bins per load level
+        self.max_load = len(self._histogram) - 1
+
+    def add(self, bin_index: int, old_load: int, delta: int) -> None:
+        tree, size = self._tree, self._size
+        index = bin_index + 1
+        while index <= size:
+            tree[index] += delta
+            index += index & -index
+        histogram = self._histogram
+        histogram[old_load] -= 1
+        new_load = old_load + delta
+        if new_load == len(histogram):
+            histogram.append(0)
+        histogram[new_load] += 1
+        if new_load > self.max_load:
+            self.max_load = new_load
+        elif old_load == self.max_load and not histogram[old_load]:
+            self.max_load = new_load
+
+    def find(self, rank: int) -> int:
+        """The first bin whose cumulative load exceeds ``rank``."""
+        tree, size = self._tree, self._size
+        position, step = 0, self._top_step
+        while step:
+            probe = position + step
+            if probe <= size and tree[probe] <= rank:
+                position = probe
+                rank -= tree[probe]
+            step >>= 1
+        return position
 
 
 def run_churn_kd_choice_vectorized(
@@ -44,7 +95,7 @@ def run_churn_kd_choice_vectorized(
     Seed-for-seed identical to :func:`~repro.core.dynamic.run_churn_kd_choice`.
     The scalar process spends almost all its time scanning the load vector
     ball by ball to find each departing ball's bin; here that scan is one
-    ``cumsum``/``searchsorted`` pair per departure.
+    O(log n_bins) descent of a Fenwick tree over the loads per departure.
     """
     _require_strict(policy)
     ProcessParams(n_bins=n_bins, n_balls=None, k=k, d=d)
@@ -64,6 +115,7 @@ def run_churn_kd_choice_vectorized(
     loads = np.bincount(
         generator.integers(0, n_bins, size=warmup_balls), minlength=n_bins
     ).astype(np.int64)
+    index = _LoadIndex(loads)
     total = warmup_balls
     messages = 0
     snapshots: List[ChurnSnapshot] = []
@@ -77,17 +129,17 @@ def run_churn_kd_choice_vectorized(
         else:
             destinations = strict_select(loads, samples, k, generator.random(d))
         for bin_index in destinations:
+            index.add(bin_index, int(loads[bin_index]), 1)
             loads[bin_index] += 1
         total += k
 
         # Departures: remove balls uniformly at random (by ball).  The
         # scalar scan "first bin with target < cumulative load" is exactly a
-        # right-bisect into the cumulative sum.
+        # search for the first bin whose cumulative load exceeds the target.
         departures = min(departures_per_round, total)
         for _ in range(departures):
-            target = int(generator.integers(0, total))
-            cumulative = np.cumsum(loads)
-            bin_index = int(np.searchsorted(cumulative, target, side="right"))
+            bin_index = index.find(int(generator.integers(0, total)))
+            index.add(bin_index, int(loads[bin_index]), -1)
             loads[bin_index] -= 1
             total -= 1
 
@@ -96,7 +148,7 @@ def run_churn_kd_choice_vectorized(
                 ChurnSnapshot(
                     round_index=round_index,
                     total_balls=total,
-                    max_load=int(loads.max()),
+                    max_load=index.max_load,
                     average_load=total / n_bins,
                 )
             )

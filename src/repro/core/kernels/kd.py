@@ -7,8 +7,13 @@ policy's per-round tie-break doubles (``d`` per round, strict policy with
 tie-break blocks.
 
 Per-unit apply: one round of ``k`` balls through the policy's ``select``.
-Batched apply: independent-round batches through :func:`_select_batch`
-(strict policy, full rounds only).
+Batched apply (strict policy, full rounds only): speculate and truncate
+through :func:`_select_rounds` — key a window of rounds against the current
+loads, apply the rounds before the first one that keeps a bin an earlier
+round of the window keeps, re-speculate from there.  Rounds that sample a
+bin twice resolve in the same vectorized pass (multiplicity-aware keys), so
+no round replays through the scalar kernel.  ``k == d`` rounds keep every
+sampled bin and add them with one ``np.add.at``.
 """
 
 from __future__ import annotations
@@ -18,76 +23,76 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from ..baselines import _make_rng
-from ..batched import ball_order_kept, stable_tiebreak_ranks
-from ..policies import capacity_select, get_policy, strict_select
+from ..batched import ConflictScratch, conflict_free_prefix, strict_select_rows
+from ..policies import capacity_select, get_policy
 from ..process import _DEFAULT_CHUNK_ROUNDS
 from ..types import ProcessParams
-from .base import (
-    _PLACED,
-    OnlineStepper,
-    independent_batch_rounds,
-    normalize_capacities,
-)
+from .base import _PLACED, OnlineStepper, normalize_capacities
 
-__all__ = ["KDChoiceStepper", "DChoiceStepper", "_select_batch"]
+__all__ = ["KDChoiceStepper", "DChoiceStepper", "speculation_window"]
+
+#: Smallest speculation window (tiny or crowded tables still key a few rows
+#: per step; the truncation keeps them exact).
+_MIN_WINDOW = 8
+#: Most slots one speculation window keys, which bounds its temporaries.
+_WINDOW_SLOTS = 1 << 15
 
 
-def _select_batch(
+def speculation_window(n_bins: int, k: int, d: int) -> int:
+    """Rounds keyed per speculation step of :func:`_select_rounds`.
+
+    Round ``i`` of a window keeps ``k`` bins after ``i * k`` provisional
+    writes, so it conflicts with probability ~``i k^2 / n``, and the first
+    conflict lands near round ``sqrt(2 n) / k``.  Rounds past it are keyed
+    in vain, so a wider window only adds work.  At most
+    :data:`_WINDOW_SLOTS` slots are keyed at once.
+    """
+    return max(_MIN_WINDOW, min(int((2 * n_bins) ** 0.5) // k, _WINDOW_SLOTS // d))
+
+
+def _select_rounds(
     loads: np.ndarray,
     samples: np.ndarray,
     tiebreaks: np.ndarray,
     k: int,
+    window: int,
+    scratch: ConflictScratch,
     out: Optional[np.ndarray] = None,
 ) -> None:
-    """Apply one batch of rounds to ``loads`` in place.
+    """Apply ``(R, d)`` rounds to ``loads`` in order, exactly as ``R``
+    successive :func:`~repro.core.policies.strict_select` calls would.
 
-    ``samples`` and ``tiebreaks`` are ``(B, d)`` blocks; rounds whose bins are
-    untouched by every other round in the batch are resolved with one
-    argpartition, the rest replay sequentially through the scalar kernel.
+    Speculate and truncate: key a window of rounds against the current
+    loads, keep each round's ``k`` smallest keys, apply the rounds before
+    the first one that keeps a bin an earlier round of the window keeps
+    (:func:`~repro.core.batched.conflict_free_prefix`), and re-speculate
+    from that round.  Nothing replays through the scalar kernel.
 
-    ``out`` (a ``(B, k)`` int64 array) optionally receives each round's
-    destination bins in *ball order* — the exact order the scalar
-    :func:`~repro.core.policies.strict_select` kernel returns them — which is
-    what the streaming allocator (:mod:`repro.online`) hands out one ball at
-    a time.  The batch path skips that per-row sort when no caller asks.
+    Each window is keyed by :func:`~repro.core.batched.strict_select_rows`
+    (within-round multiplicities and tie-break ranks included), so the
+    temporaries stay window-sized whatever the block size.
+
+    ``out`` (a ``(R, k)`` int64 array) optionally receives each round's
+    destination bins in *ball order* — the exact order the scalar kernel
+    returns them — which is what the streaming allocator
+    (:mod:`repro.online`) hands out one ball at a time.  The batch path
+    skips that per-row sort when no caller asks.
     """
-    batch, d = samples.shape
-
-    # A bin value is "shared" when it occurs more than once in the batch.
-    flat = np.sort(samples, axis=None)
-    shared = flat[1:][flat[1:] == flat[:-1]]
-    if shared.size:
-        dirty = np.isin(samples, shared).any(axis=1)
-    else:
-        dirty = np.zeros(batch, dtype=bool)
-    clean = ~dirty
-
-    clean_rows = samples[clean]
-    if clean_rows.size:
-        # No bin repeats anywhere in these rounds: every virtual ball has
-        # height loads[bin] + 1, and placements cannot interact, so the
-        # strict rule reduces to "keep the k smallest (height, tiebreak)
-        # pairs per round".  Encode the pair as one int64 key: the tie-break
-        # rank within the round replaces the float (rank < d, so the
-        # lexicographic order is preserved exactly).
-        heights = loads[clean_rows] + 1
-        ranks = stable_tiebreak_ranks(tiebreaks[clean])
-        keys = heights * np.int64(d) + ranks
-        kept = np.argpartition(keys, k - 1, axis=1)[:, :k]
+    rounds = len(samples)
+    start = 0
+    while start < rounds:
+        stop = min(start + window, rounds)
+        destinations = strict_select_rows(
+            loads, samples[start:stop], tiebreaks[start:stop], k,
+            ordered=out is not None,
+        )
+        taken = conflict_free_prefix(destinations, scratch) if stop - start > 1 else 1
+        # Rounds of the prefix never share a destination, but one round may
+        # keep a bin twice.
+        np.add.at(loads, destinations[:taken].ravel(), 1)
         if out is not None:
-            kept = ball_order_kept(keys, kept)
-        destinations = np.take_along_axis(clean_rows, kept, axis=1)
-        if out is not None:
-            out[clean] = destinations
-        loads[destinations.ravel()] += 1  # all destinations are distinct bins
-
-    for row_index in np.flatnonzero(dirty):
-        row = samples[row_index].tolist()
-        row_destinations = strict_select(loads, row, k, tiebreaks[row_index])
-        if out is not None:
-            out[row_index] = row_destinations
-        for bin_index in row_destinations:
-            loads[bin_index] += 1
+            out[start : start + taken] = destinations[:taken]
+        start += taken
 
 
 class KDChoiceStepper(OnlineStepper):
@@ -149,7 +154,8 @@ class KDChoiceStepper(OnlineStepper):
         self._buffer: Optional[np.ndarray] = None
         self._buffer_pos = 0
         self._tail_done = False
-        self._batch_rounds = min(chunk_rounds, independent_batch_rounds(n_bins, d))
+        self._window = speculation_window(n_bins, k, d)
+        self._scratch: Optional[ConflictScratch] = None
 
     @property
     def result_policy(self) -> str:
@@ -226,7 +232,7 @@ class KDChoiceStepper(OnlineStepper):
             # every engine falls back to the per-unit drive path, which is
             # the reference semantics by construction.  (k == d rounds keep
             # every sampled bin regardless of fill, so they may still ride
-            # the degenerate bincount path below.)
+            # the degenerate path below.)
             return None
         rounds_wanted = min(max_balls // self.k, self.full_rounds - self.rounds)
         if rounds_wanted <= 0:
@@ -240,7 +246,7 @@ class KDChoiceStepper(OnlineStepper):
             # Degenerate rounds: every sampled bin keeps its ball, and the
             # strict policy draws no tie-breaks.
             flat = samples.reshape(-1)
-            self.loads += np.bincount(flat, minlength=self.n_bins)
+            np.add.at(self.loads, flat, 1)
             destinations = flat.astype(np.int64, copy=True) if self._capture else _PLACED
         else:
             ties = self.rng.random((r, self.d))
@@ -250,16 +256,13 @@ class KDChoiceStepper(OnlineStepper):
                 out = compiled.kd_rounds(self.loads, samples, ties, self.k)
                 destinations = out.reshape(-1) if self._capture else _PLACED
             else:
+                if self._scratch is None:
+                    self._scratch = ConflictScratch(self.n_bins)
                 out = np.empty((r, self.k), dtype=np.int64) if self._capture else None
-                for start in range(0, r, self._batch_rounds):
-                    stop = start + self._batch_rounds
-                    _select_batch(
-                        self.loads,
-                        samples[start:stop],
-                        ties[start:stop],
-                        self.k,
-                        out=None if out is None else out[start:stop],
-                    )
+                _select_rounds(
+                    self.loads, samples, ties, self.k, self._window,
+                    self._scratch, out=out,
+                )
                 destinations = out.reshape(-1) if self._capture else _PLACED
         self.rounds += r
         self.messages += r * self.d

@@ -2,8 +2,8 @@
 
 Draw blocks: one ``size=n_balls`` integer block at construction — exactly
 the scalar :func:`~repro.core.baselines.run_single_choice` draw.  Per-unit
-apply: pop the next pre-drawn destination.  Batched apply: a bincount over
-the pre-drawn slice.
+apply: pop the next pre-drawn destination.  Batched apply: one ``np.add.at``
+over the pre-drawn slice (its cost follows the slice, not ``n_bins``).
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class SingleChoiceStepper(OnlineStepper):
         else:
             destinations = _PLACED
         self._pos += take
-        self.loads += np.bincount(chunk, minlength=self.n_bins)
+        np.add.at(self.loads, chunk, 1)  # touched bins only, not O(n_bins)
         self.messages += take
         self.balls_emitted += take
         return destinations

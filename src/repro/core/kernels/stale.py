@@ -7,10 +7,13 @@ A partial final round in a ``k == d`` epoch draws its own ``size=d``
 tie-break block when it is selected.
 
 Per-unit apply: one round probing the epoch-start snapshot; placements
-commit when the epoch's last round has been emitted.  Batched apply: whole
-epochs are the kernel's best case — every round probes the same snapshot,
-so an epoch's full rounds resolve in one
-:func:`~repro.core.batched.strict_select_rows` call.
+commit when the epoch's last round has been emitted.  Because placements
+are deferred, the snapshot *is* ``loads`` until a committed ball is removed
+mid-epoch (``remove_ball`` copies it first), so an epoch costs nothing
+proportional to ``n_bins``.  Batched apply: whole epochs are the kernel's
+best case — every round probes the same snapshot, so an epoch's full rounds
+resolve in one :func:`~repro.core.batched.strict_select_rows` call (rounds
+that sample a bin twice included).
 """
 
 from __future__ import annotations
@@ -93,7 +96,10 @@ class StaleKDChoiceStepper(OnlineStepper):
             if strict and self.k < self.d
             else None
         )
-        self._snapshot = self.loads.copy()
+        # Placements are deferred to the epoch's end, so until a committed
+        # ball is removed the snapshot is ``loads`` itself (see
+        # ``remove_ball``); no per-epoch copy.
+        self._snapshot = self.loads
         self._epoch_pos = 0
         self._epoch_pending = []
 
@@ -123,11 +129,17 @@ class StaleKDChoiceStepper(OnlineStepper):
         placements have not been applied to ``loads`` yet; such a removal
         cancels the pending placement instead (the eventual loads are the
         same either way, and the epoch's probes keep seeing the epoch-start
-        snapshot by definition).
+        snapshot by definition).  The snapshot aliases ``loads`` until the
+        first committed-ball removal of an epoch, which copies it.
         """
         if not 0 <= bin_index < self.n_bins:
             raise ValueError(f"bin index {bin_index} out of range")
         if self.loads[bin_index] > 0:
+            if self._snapshot is self.loads:
+                # The epoch's remaining probes must keep reading the
+                # epoch-start loads: detach the snapshot before the first
+                # committed-ball decrement.
+                self._snapshot = self.loads.copy()
             self.loads[bin_index] -= 1
         elif bin_index in self._epoch_pending:
             self._epoch_pending.remove(bin_index)

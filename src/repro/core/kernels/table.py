@@ -222,7 +222,7 @@ KERNELS: Dict[str, Kernel] = {
             "tail: samples int(d), ties float(d)",
         ),
         stepper=KDChoiceStepper,
-        batched="independent-round batches (_select_batch)",
+        batched="speculate-and-truncate rounds (_select_rounds)",
         compiled=True,
         compiled_guard=_compiled_width_guard("d"),
     ),
@@ -259,7 +259,7 @@ KERNELS: Dict[str, Kernel] = {
             "partial k == d tail: ties float(d)",
         ),
         stepper=StaleKDChoiceStepper,
-        batched="whole epochs (strict_select_rows)",
+        batched="whole epochs on the aliased snapshot (strict_select_rows)",
         compiled=True,
         compiled_guard=_compiled_width_guard("d"),
     ),
@@ -284,7 +284,7 @@ KERNELS: Dict[str, Kernel] = {
         ),
         stepper=None,  # departures are global events, not a per-item stream
         vectorized=run_churn_allocation_vectorized,
-        batched="cumsum/searchsorted departures",
+        batched="Fenwick-tree departures (_LoadIndex)",
     ),
     "single_choice": Kernel(
         name="single_choice",
@@ -292,14 +292,14 @@ KERNELS: Dict[str, Kernel] = {
         draw_blocks=("destinations int(n_balls) up front",),
         stepper=SingleChoiceStepper,
         vectorized=run_single_choice,  # the scalar runner is already batched
-        batched="bincount over the pre-drawn block",
+        batched="np.add.at over the pre-drawn block",
     ),
     "d_choice": Kernel(
         name="d_choice",
         unit="ball (a 1-ball round)",
         draw_blocks=("the kd_choice blocks with k = 1",),
         stepper=DChoiceStepper,
-        batched="independent-round batches (_select_batch)",
+        batched="speculate-and-truncate rounds (_select_rounds)",
         compiled=True,
         compiled_guard=_compiled_width_guard("d"),
     ),
@@ -308,7 +308,7 @@ KERNELS: Dict[str, Kernel] = {
         unit="ball (a 1-ball round)",
         draw_blocks=("the kd_choice blocks with k = 1, d = 2",),
         stepper=functools.partial(DChoiceStepper, d=2),
-        batched="independent-round batches (_select_batch)",
+        batched="speculate-and-truncate rounds (_select_rounds)",
         compiled=True,
     ),
     "one_plus_beta": Kernel(
@@ -337,7 +337,7 @@ KERNELS: Dict[str, Kernel] = {
         draw_blocks=("destinations int(n_balls) up front",),
         stepper=batch_random_stepper,
         vectorized=run_batch_random,  # the scalar runner is already batched
-        batched="bincount over the pre-drawn block",
+        batched="np.add.at over the pre-drawn block",
     ),
     "threshold_adaptive": Kernel(
         name="threshold_adaptive",

@@ -11,11 +11,12 @@ randomness.
 
 Per-unit apply: one ball.  Batched apply: speculate-verify sub-batches
 (hierarchical, via :func:`~repro.core.batched.prefix_conflicts`) and
-independent-round batches (locality, mirroring the (k, d) kernel's
-clean/dirty split).  Both steppers additionally tally local/zone/cross
-probe and placement counters (:attr:`zone_counters`), which are part of
-the snapshot state and feed the telemetry layer; the tallies are purely
-observational and never touch the random stream.
+independent-round batches (locality: rounds sharing no bin with another
+round of the batch resolve vectorized, the rest replay).  Both steppers
+additionally tally local/zone/cross probe and placement counters
+(:attr:`zone_counters`), which are part of the snapshot state and feed
+the telemetry layer; the tallies are purely observational and never touch
+the random stream.
 """
 
 from __future__ import annotations
@@ -406,7 +407,7 @@ class LocalityTwoChoiceStepper(_ZoneCounterMixin, OnlineStepper):
         home_zones: np.ndarray,
         destinations: np.ndarray,
     ) -> None:
-        """One independent-round batch, mirroring ``kd._select_batch``.
+        """One independent-round batch (a clean/dirty split).
 
         Rounds whose bins are untouched by every other round in the batch
         resolve vectorized (the threshold rule needs only each row's best

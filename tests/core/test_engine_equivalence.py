@@ -32,6 +32,7 @@ from repro.core.baselines import (
 )
 from repro.core.dynamic import run_churn_kd_choice
 from repro.core.kernels.churn import run_churn_kd_choice_vectorized
+from repro.core.kernels.kd import speculation_window
 from repro.core.process import run_kd_choice
 from repro.core.serialization import run_serialized_kd_choice
 from repro.core.stale import run_stale_kd_choice
@@ -260,6 +261,33 @@ def _ids(cases):
 
 
 _KD_CASES = _cases("kd")
+
+#: The speculate-and-truncate regimes the randomized cases (d <= 10) miss:
+#: d^2 >> n with heavy within-round duplicates, where k >= 2 keeps several
+#: copies of one bin, and k = 1 at large d.  ``n_balls % k != 0`` keeps the
+#: partial tail round in play.
+_LARGE_D_CASES = [
+    {"n_bins": 16, "k": 3, "d": 12, "n_balls": 200, "seed": 11},
+    {"n_bins": 64, "k": 8, "d": 40, "n_balls": 700, "seed": 12},
+    {"n_bins": 200, "k": 16, "d": 193, "n_balls": 1000, "seed": 13},
+    {"n_bins": 24, "k": 20, "d": 23, "n_balls": 250, "seed": 14},
+    {"n_bins": 50, "k": 1, "d": 49, "n_balls": 400, "seed": 15},
+    {"n_bins": 700, "k": 1, "d": 120, "n_balls": 2100, "seed": 16},
+]
+
+
+def _window_chunks(case):
+    """``chunk_rounds`` values below and above the speculation window."""
+    window = speculation_window(case["n_bins"], case["k"], case["d"])
+    return (1, window // 2, window + 3, 4 * window)
+
+
+_LARGE_D_CHUNKS = [
+    (case, chunk) for case in _LARGE_D_CASES for chunk in _window_chunks(case)
+]
+_LARGE_D_CHUNK_IDS = [
+    f"{_ids([case])[0]}-chunk{chunk}" for case, chunk in _LARGE_D_CHUNKS
+]
 _SERIALIZED_CASES = _cases("serialized")
 _WEIGHTED_CASES = _cases("weighted")
 _STALE_CASES = _cases("stale")
@@ -279,6 +307,25 @@ class TestRandomizedEquivalence:
         check_kd_choice_streaming(
             case["n_bins"], case["k"], case["d"], case["n_balls"], case["seed"],
             chunk_rounds,
+        )
+
+    @pytest.mark.parametrize("case", _LARGE_D_CASES, ids=_ids(_LARGE_D_CASES))
+    def test_kd_choice_large_d(self, case):
+        check_kd_choice(case["n_bins"], case["k"], case["d"], case["n_balls"], case["seed"])
+        if case["k"] == 1:
+            check_d_choice(case["n_bins"], case["d"], case["n_balls"], case["seed"])
+
+    @pytest.mark.parametrize("case,chunk_rounds", _LARGE_D_CHUNKS, ids=_LARGE_D_CHUNK_IDS)
+    def test_kd_choice_large_d_chunks(self, case, chunk_rounds):
+        check_kd_choice_streaming(
+            case["n_bins"], case["k"], case["d"], case["n_balls"], case["seed"],
+            chunk_rounds,
+        )
+
+    @pytest.mark.parametrize("case", _LARGE_D_CASES, ids=_ids(_LARGE_D_CASES))
+    def test_stale_large_d(self, case):
+        check_stale(
+            case["n_bins"], case["k"], case["d"], case["n_balls"], case["seed"], 3
         )
 
     @pytest.mark.parametrize("case", _SERIALIZED_CASES, ids=_ids(_SERIALIZED_CASES))
@@ -521,6 +568,33 @@ class TestCompiledEquivalence:
             run_kd_choice, _compiled("kd_choice"),
             dict(n_bins=case["n_bins"], k=case["k"], d=case["d"],
                  n_balls=case["n_balls"], chunk_rounds=chunk_rounds),
+            case["seed"],
+        )
+
+    @pytest.mark.parametrize("case", _LARGE_D_CASES, ids=_ids(_LARGE_D_CASES))
+    def test_kd_choice_large_d(self, case):
+        _assert_compiled_equivalent(
+            run_kd_choice, _compiled("kd_choice"),
+            dict(n_bins=case["n_bins"], k=case["k"], d=case["d"],
+                 n_balls=case["n_balls"]),
+            case["seed"],
+        )
+
+    @pytest.mark.parametrize("case,chunk_rounds", _LARGE_D_CHUNKS, ids=_LARGE_D_CHUNK_IDS)
+    def test_kd_choice_large_d_chunks(self, case, chunk_rounds):
+        _assert_compiled_equivalent(
+            run_kd_choice, _compiled("kd_choice"),
+            dict(n_bins=case["n_bins"], k=case["k"], d=case["d"],
+                 n_balls=case["n_balls"], chunk_rounds=chunk_rounds),
+            case["seed"],
+        )
+
+    @pytest.mark.parametrize("case", _LARGE_D_CASES, ids=_ids(_LARGE_D_CASES))
+    def test_stale_large_d(self, case):
+        _assert_compiled_equivalent(
+            run_stale_kd_choice, _compiled("stale_kd_choice"),
+            dict(n_bins=case["n_bins"], k=case["k"], d=case["d"],
+                 stale_rounds=3, n_balls=case["n_balls"]),
             case["seed"],
         )
 

@@ -285,6 +285,34 @@ class TestRandomizedStreamEquivalence:
         check_ball_order(scheme, params, seed=17)
 
 
+#: The speculate-and-truncate regimes the randomized cases (d <= 10) miss:
+#: d^2 >> n with heavy within-round duplicates (k >= 2 keeps several copies
+#: of one bin) and k = 1 at large d.
+_LARGE_D = [
+    ("kd_choice", {"n_bins": 16, "k": 3, "d": 12, "n_balls": 200}),
+    ("kd_choice", {"n_bins": 64, "k": 8, "d": 40, "n_balls": 700}),
+    ("kd_choice", {"n_bins": 200, "k": 16, "d": 193, "n_balls": 1000}),
+    ("kd_choice", {"n_bins": 50, "k": 1, "d": 49, "n_balls": 400}),
+    ("d_choice", {"n_bins": 700, "d": 120, "n_balls": 2100}),
+    ("stale_kd_choice",
+     {"n_bins": 64, "k": 8, "d": 40, "stale_rounds": 3, "n_balls": 700}),
+]
+_LARGE_D_IDS = [
+    f"{scheme}-n{params['n_bins']}-k{params.get('k', 1)}-d{params['d']}"
+    for scheme, params in _LARGE_D
+]
+
+
+class TestLargeDStreams:
+    @pytest.mark.parametrize("scheme,params", _LARGE_D, ids=_LARGE_D_IDS)
+    def test_stream_parity(self, scheme, params):
+        check_scheme(scheme, params, seed=23)
+
+    @pytest.mark.parametrize("scheme,params", _LARGE_D, ids=_LARGE_D_IDS)
+    def test_ball_order_identical_across_ingestion(self, scheme, params):
+        check_ball_order(scheme, params, seed=17)
+
+
 # ----------------------------------------------------------------------
 # Hypothesis layer
 # ----------------------------------------------------------------------
