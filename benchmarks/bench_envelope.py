@@ -6,7 +6,6 @@ core), ``bench_serve.py`` and ``bench_substrates.py``::
     {
       "artifact":  "BENCH_<NAME>",
       "version":   2,
-      "collected": {"<sibling BENCH_*.json>": {...}},   # trajectory fold-in
       "cpus":      <os.cpu_count()>,
       "python":    "<platform.python_version()>",
       "numpy":     "<np.__version__>",
@@ -15,8 +14,9 @@ core), ``bench_serve.py`` and ``bench_substrates.py``::
     }
 
 ``repro bench --compare`` flattens every numeric ``*items_per_sec`` leaf to
-a dotted path, so any pair of snapshots — including a version-1 baseline
-against a version-2 run — gates the same way.
+a dotted ``series.<name>.<rate>`` path and compares the paths two snapshots
+share.  Each file holds only its own series; the run-to-run trajectory
+lives in the uploaded CI artifacts, not inside the snapshots.
 """
 
 from __future__ import annotations
@@ -30,23 +30,6 @@ from typing import Any, Dict
 import numpy as np
 
 ENVELOPE_VERSION = 2
-
-
-def collect_existing(output: Path) -> Dict[str, Any]:
-    """Sibling ``BENCH_*.json`` snapshots in the working directory.
-
-    Folded into the artifact under ``"collected"`` so each run carries the
-    full throughput trajectory; the output file itself is excluded.
-    """
-    collected: Dict[str, Any] = {}
-    for path in sorted(Path(".").glob("BENCH_*.json")):
-        if path.resolve() == output.resolve():
-            continue
-        try:
-            collected[path.name] = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            collected[path.name] = {"error": "unreadable"}
-    return collected
 
 
 def write_envelope(
@@ -71,6 +54,5 @@ def write_envelope(
         "series": {name: dict(line) for name, line in series.items()},
     }
     report.update(extra)
-    report["collected"] = collect_existing(output)
     output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report

@@ -19,10 +19,8 @@ ratios CI floors ride on.
 
 Both write ``scheme -> items/sec`` lines into the ``series`` section of
 the shared version-2 envelope (see :mod:`bench_envelope`) that CI uploads
-and gates with ``repro bench --compare``, so the throughput trajectory
-accumulates across runs.  Any sibling ``BENCH_*.json`` files already
-present in the working directory are folded into the artifact under
-``"collected"``.
+and gates with ``repro bench --compare`` against the committed snapshot
+of the same artifact.
 
 Usage::
 

@@ -23,8 +23,6 @@ The workload registry (:mod:`repro.workloads`) gets the same treatment:
 * every registered workload must be reachable from the CLI's shared
   ``--workload`` flag group (``simulate``/``stream``/``loadgen``/
   ``cluster``);
-* the deprecated ``--arrival-process``/``--churn`` spellings must resolve
-  to a registered entry whose schema still accepts them;
 * every scenario's event stream must be deterministic in its seed.
 
 The topology registry (:mod:`repro.topology`) is linted the same way:
@@ -112,9 +110,9 @@ def _kernel_surface_violations() -> List[str]:
 #: (module, attribute): a wrapper or re-implementation here would be a
 #: second stream derivation that can silently drift from the registry.
 _WORKLOAD_SURFACES = (
-    ("repro.online.trace", "generate_workload_events"),
+    ("repro.online.trace", "generate_events"),
     ("repro.simulation.workloads", "workload_events"),
-    ("repro.serve.loadgen", "generate_workload_events"),
+    ("repro.serve.loadgen", "generate_events"),
 )
 
 #: CLI subcommands that must expose the shared ``--workload`` flag group.
@@ -187,32 +185,9 @@ def _workload_cli_violations() -> List[str]:
 
 
 def _workload_registry_violations() -> List[str]:
-    from repro.workloads import (
-        WORKLOADS,
-        WorkloadError,
-        generate_events,
-        resolve_legacy,
-    )
+    from repro.workloads import WORKLOADS, generate_events
 
     problems: List[str] = []
-
-    # The deprecated flag spellings must keep resolving to a registered
-    # entry whose schema accepts every legacy kwarg.
-    name, params = resolve_legacy()
-    record = WORKLOADS.get(name)
-    if record is None:
-        problems.append(
-            f"legacy workload kwargs resolve to unregistered workload "
-            f"{name!r}; register it in repro/workloads/library.py"
-        )
-    else:
-        try:
-            record.resolve_params(params)
-        except WorkloadError as exc:
-            problems.append(
-                f"legacy workload kwargs no longer fit workload {name!r}'s "
-                f"schema: {exc}"
-            )
 
     # Every scenario's stream must be deterministic in (params, seed).
     for workload in WORKLOADS.values():

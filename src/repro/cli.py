@@ -39,8 +39,9 @@ Examples
     # The streaming allocation service: serve a live workload (optionally
     # recording it), then replay the trace deterministically on any engine
     python -m repro stream --scheme kd_choice --param n_bins=4096 \
-        --param k=4 --param d=8 --items 100000 --arrival-process mmpp \
-        --churn 0.1 --record run.jsonl
+        --param k=4 --param d=8 --items 100000 --workload uniform \
+        --workload-param arrival_process=mmpp --workload-param churn=0.1 \
+        --record run.jsonl
     python -m repro replay --trace run.jsonl --engine scalar
     python -m repro replay --trace run.jsonl --snapshot-every 4096 \
         --snapshot-dir .snapshots
@@ -51,7 +52,7 @@ Examples
     python -m repro serve --scheme kd_choice --param n_bins=4096 \
         --param k=4 --param d=8 --shards 4 --port 7411
     python -m repro loadgen --port 7411 --items 100000 \
-        --connections 8 --churn 0.1
+        --connections 8 --workload uniform --workload-param churn=0.1
 """
 
 from __future__ import annotations
@@ -164,18 +165,17 @@ def _parse_param_token(token: str) -> Tuple[str, object]:
 def _add_workload_flags(parser: argparse.ArgumentParser) -> None:
     """The shared ``--workload`` flag group (stream/loadgen/cluster/simulate).
 
-    Each command's historical arrival/churn flags stay as working aliases
-    of the ``uniform`` registry entry; ``--workload`` selects any registered
-    scenario and ``--workload-param`` configures it against the scenario's
-    schema.  Mixing the two spellings is rejected (by the registry shim for
-    the event-stream surfaces, and explicitly for ``cluster``).
+    ``--workload`` selects any registered scenario and ``--workload-param``
+    configures it against the scenario's schema.  ``stream`` and
+    ``loadgen`` serve the ``uniform`` scenario when no workload is named;
+    ``cluster`` rejects ``--workload`` together with its own arrival flags.
     """
     parser.add_argument(
         "--workload", type=str, default=None, choices=available_workloads(),
         metavar="NAME",
-        help="registered workload scenario (see `repro workloads`); the "
-        "legacy arrival/churn flags alias the 'uniform' entry and cannot "
-        "be combined with --workload",
+        help="registered workload scenario (see `repro workloads`); stream "
+        "and loadgen default to 'uniform', whose parameters set arrival "
+        "stamping and churn",
     )
     parser.add_argument(
         "--workload-param", action="append", default=[], metavar="KEY=VALUE",
@@ -355,18 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="requests to place (default: the spec's n_balls / n_bins)",
     )
     stream.add_argument(
-        "--arrival-process", type=str, default="none",
-        choices=["none", "poisson", "mmpp"],
-        help="stamp events with substrate arrival times",
-    )
-    stream.add_argument("--arrival-rate", type=float, default=1000.0)
-    stream.add_argument("--burstiness", type=float, default=4.0)
-    stream.add_argument(
-        "--churn", type=float, default=0.0, metavar="FRACTION",
-        help="probability each placement is followed by the removal of a "
-        "random live item",
-    )
-    stream.add_argument(
         "--workload-seed", type=int, default=None, metavar="SEED",
         help="seed of the workload generator (independent of the spec seed)",
     )
@@ -516,18 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-in-flight", type=int, default=64, metavar="N",
         help="outstanding requests per connection",
     )
-    loadgen_cmd.add_argument(
-        "--churn", type=float, default=0.0, metavar="FRACTION",
-        help="probability each placement is followed by a removal",
-    )
-    loadgen_cmd.add_argument(
-        "--arrival-process", type=str, default="none",
-        choices=["none", "poisson", "mmpp"],
-        help="stamp events with substrate arrival times (shapes the "
-        "trace; transmission is not paced)",
-    )
-    loadgen_cmd.add_argument("--arrival-rate", type=float, default=1000.0)
-    loadgen_cmd.add_argument("--burstiness", type=float, default=4.0)
     loadgen_cmd.add_argument(
         "--seed", type=int, default=0,
         help="workload seed (fixed seed -> identical event stream)",
@@ -948,16 +924,12 @@ def _run_stream(args: argparse.Namespace) -> None:
         summary = stream_workload(
             spec,
             items=args.items,
-            arrival_process=args.arrival_process,
-            arrival_rate=args.arrival_rate,
-            burstiness=args.burstiness,
-            churn=args.churn,
             workload_seed=args.workload_seed,
             record=args.record,
             snapshot_every=args.snapshot_every,
             snapshot_dir=args.snapshot_dir,
             telemetry=LoadTelemetry(sample_every=args.telemetry_every),
-            workload=args.workload,
+            workload=args.workload or "uniform",
             workload_params=_workload_param_args(args),
         )
     except KeyError as exc:
@@ -1111,13 +1083,9 @@ def _run_loadgen(args: argparse.Namespace) -> None:
             items=args.items,
             connections=args.connections,
             max_in_flight=args.max_in_flight,
-            churn=args.churn,
-            arrival_process=args.arrival_process,
-            arrival_rate=args.arrival_rate,
-            burstiness=args.burstiness,
             seed=args.seed,
             shutdown_after=args.shutdown_after,
-            workload=workload,
+            workload=workload or "uniform",
             workload_params=workload_params,
         )
     except ConnectionRefusedError:
@@ -1151,24 +1119,6 @@ def _collect_rates(payload: object, prefix: str = "") -> Dict[str, float]:
     return rates
 
 
-def _normalize_rate_paths(rates: Dict[str, float]) -> Dict[str, float]:
-    """Fold version-1 envelope spellings onto the version-2 ``series.`` prefix.
-
-    Version-1 snapshots nested their rates under ``schemes`` (bench_report)
-    or kept them at the top level (bench_serve); mapping both onto the
-    unified envelope keeps ``repro bench --compare`` usable across any
-    old/new snapshot pair.
-    """
-    normalized: Dict[str, float] = {}
-    for path, rate in rates.items():
-        if path.startswith("schemes."):
-            path = "series." + path[len("schemes."):]
-        elif "." not in path:
-            path = f"series.shard_pool.{path}"
-        normalized[path] = rate
-    return normalized
-
-
 def _run_bench_compare(args: argparse.Namespace) -> None:
     old_path, new_path = args.compare
     snapshots = []
@@ -1190,8 +1140,8 @@ def _run_bench_compare(args: argparse.Namespace) -> None:
         )
         return
 
-    old_rates = _normalize_rate_paths(_collect_rates(old))
-    new_rates = _normalize_rate_paths(_collect_rates(new))
+    old_rates = _collect_rates(old)
+    new_rates = _collect_rates(new)
     shared = sorted(set(old_rates) & set(new_rates))
     if not shared:
         raise SystemExit(
@@ -1439,23 +1389,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         }
         if args.workload is not None:
             # The substrate stamps its own arrival process; a workload
-            # drives it through the record's arrivals hook.  The legacy
-            # arrival flags alias the 'uniform' entry, so combining the
-            # spellings would be ambiguous.
-            legacy_defaults = {
+            # drives it through the record's arrivals hook.  The arrival
+            # flags set the same parameters, so combining the two would be
+            # ambiguous.
+            arrival_defaults = {
                 "arrival_process": "poisson",
                 "arrival_rate": 8.0,
                 "burstiness": 4.0,
             }
             drifted = sorted(
                 f"--{flag.replace('_', '-')}"
-                for flag, default in legacy_defaults.items()
+                for flag, default in arrival_defaults.items()
                 if getattr(args, flag) != default
             )
             if drifted:
                 raise SystemExit(
                     f"error: pass either --workload {args.workload} (with "
-                    f"--workload-param) or the legacy flags "
+                    f"--workload-param) or the arrival flags "
                     f"{', '.join(drifted)} — not both"
                 )
             try:

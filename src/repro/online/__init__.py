@@ -42,7 +42,6 @@ from .trace import (
     TraceError,
     TraceHeader,
     TraceWriter,
-    generate_workload_events,
     read_trace,
     record_workload,
     replay_trace,
@@ -65,7 +64,6 @@ __all__ = [
     "TraceError",
     "TraceHeader",
     "TraceWriter",
-    "generate_workload_events",
     "load_snapshot",
     "read_trace",
     "record_workload",

@@ -17,12 +17,12 @@ deliberately not stored: they are recomputed from the header's seed at
 replay, which is what makes one trace replayable across engines (scalar
 unit-steps or the vectorized batch kernels) with identical results.
 
-The workload bridge (:func:`generate_workload_events` /
-:func:`record_workload`) stamps events with the same Poisson / bursty-MMPP
-arrival processes that drive the cluster substrate
-(:func:`repro.simulation.workloads.sample_arrival_times`), plus optional
-churn (randomized removals of live items), so substrate-grade workloads can
-be captured once and replayed deterministically.
+:func:`record_workload` and :func:`stream_workload` take their events from
+the workload registry (:func:`repro.workloads.generate_events`); the default
+``uniform`` scenario stamps the same Poisson / bursty-MMPP arrival processes
+that drive the cluster substrate, plus optional churn (randomized removals
+of live items), so substrate-grade workloads can be captured once and
+replayed deterministically.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "TraceHeader",
     "TraceWriter",
     "read_trace",
-    "generate_workload_events",
     "record_workload",
     "ReplaySummary",
     "run_events",
@@ -243,23 +242,18 @@ def read_trace(
 # ----------------------------------------------------------------------
 # Workload-to-trace bridge
 # ----------------------------------------------------------------------
-# The bridge is a thin shim over the workload registry
-# (:mod:`repro.workloads`): the historical kwargs resolve to the
-# ``uniform`` registry entry and stay byte-identical to the pre-registry
-# implementation, while ``workload=``/``workload_params=`` select any
-# registered scenario.  ``repro schemes --check`` lints that this module
-# defines no generator of its own.
-from ..workloads import bind_spec_params, generate_workload_events  # noqa: E402
+# Events come straight from the workload registry (:mod:`repro.workloads`);
+# ``repro schemes --check`` lints that this module defines no generator of
+# its own.
+from ..workloads import bind_spec_params, generate_events  # noqa: E402
 
 
 def _bind_workload_spec(
     spec: SchemeSpec,
-    workload: Optional[str],
+    workload: str,
     workload_params: Optional[Dict[str, Any]],
 ) -> SchemeSpec:
     """Merge the workload's contributed spec params (e.g. capacities)."""
-    if workload is None:
-        return spec
     extra = bind_spec_params(workload, workload_params, spec.params)
     return spec.with_params(**extra) if extra else spec
 
@@ -268,13 +262,8 @@ def record_workload(
     path: "str | os.PathLike[str]",
     spec: SchemeSpec,
     items: Optional[int] = None,
-    arrival_process: str = "none",
-    arrival_rate: float = 1000.0,
-    burstiness: float = 4.0,
-    switch_prob: float = 0.1,
-    churn: float = 0.0,
     workload_seed: Optional[int] = None,
-    workload: Optional[str] = None,
+    workload: str = "uniform",
     workload_params: Optional[Dict[str, Any]] = None,
 ) -> TraceHeader:
     """Capture a workload against ``spec`` as a replayable trace file.
@@ -284,17 +273,7 @@ def record_workload(
     """
     items = _derive_items(spec, items)
     spec = _bind_workload_spec(spec, workload, workload_params)
-    events = generate_workload_events(
-        items,
-        arrival_process=arrival_process,
-        arrival_rate=arrival_rate,
-        burstiness=burstiness,
-        switch_prob=switch_prob,
-        churn=churn,
-        seed=workload_seed,
-        workload=workload,
-        workload_params=workload_params,
-    )
+    events = generate_events(workload, items, workload_params, workload_seed)
     seed = _require_int_seed(spec.seed)
     header = TraceHeader(
         scheme=spec.scheme,
@@ -603,43 +582,27 @@ def replay_trace(
 def stream_workload(
     spec: SchemeSpec,
     items: Optional[int] = None,
-    arrival_process: str = "none",
-    arrival_rate: float = 1000.0,
-    burstiness: float = 4.0,
-    switch_prob: float = 0.1,
-    churn: float = 0.0,
     workload_seed: Optional[int] = None,
     record: "str | os.PathLike[str] | None" = None,
     snapshot_every: Optional[int] = None,
     snapshot_dir: "str | os.PathLike[str] | None" = None,
     telemetry: Optional[LoadTelemetry] = None,
-    workload: Optional[str] = None,
+    workload: str = "uniform",
     workload_params: Optional[Dict[str, Any]] = None,
 ) -> ReplaySummary:
     """Generate a workload and serve it live (optionally recording it).
 
-    The driver behind ``repro stream``: builds the event list with
-    :func:`generate_workload_events`, pins the spec's ``n_balls`` to the
-    placement count, and runs it through :func:`run_events`.  With
-    ``record=`` the served stream is captured as a trace whose later
-    ``repro replay`` reproduces this run exactly.  ``workload=`` selects a
-    registered scenario (any entry of :mod:`repro.workloads`) instead of
-    the legacy kwargs, and merges the scenario's contributed spec params
-    (e.g. ``hetero_bins`` capacities) before serving.
+    The driver behind ``repro stream``: builds the event list of the
+    registered scenario ``workload`` (any entry of :mod:`repro.workloads`),
+    merges the scenario's contributed spec params (e.g. ``hetero_bins``
+    capacities), pins the spec's ``n_balls`` to the placement count, and
+    runs it through :func:`run_events`.  With ``record=`` the served stream
+    is captured as a trace whose later ``repro replay`` reproduces this run
+    exactly.
     """
     items = _derive_items(spec, items)
     spec = _bind_workload_spec(spec, workload, workload_params)
-    events = generate_workload_events(
-        items,
-        arrival_process=arrival_process,
-        arrival_rate=arrival_rate,
-        burstiness=burstiness,
-        switch_prob=switch_prob,
-        churn=churn,
-        seed=workload_seed,
-        workload=workload,
-        workload_params=workload_params,
-    )
+    events = generate_events(workload, items, workload_params, workload_seed)
     pinned = _pin_stream_length(spec.scheme, dict(spec.params), items)
     if pinned != dict(spec.params):
         spec = spec.with_params(**pinned)

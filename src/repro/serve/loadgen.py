@@ -24,38 +24,10 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..workloads import generate_workload_events
+from ..workloads import generate_events
 from .client import ServeClient, ServeError
 
-__all__ = ["LoadgenReport", "build_loadgen_events", "run_loadgen", "loadgen"]
-
-
-def build_loadgen_events(
-    items: int,
-    churn: float = 0.0,
-    arrival_process: str = "none",
-    arrival_rate: float = 1000.0,
-    burstiness: float = 4.0,
-    seed: Optional[int] = 0,
-    workload: Optional[str] = None,
-    workload_params: Optional[Dict[str, Any]] = None,
-) -> List[Dict[str, Any]]:
-    """The loadgen's event stream: the registry stream, verbatim.
-
-    One derivation point so the cross-surface equivalence harness can
-    assert the loadgen fires byte-for-byte the events ``repro stream``
-    and ``simulate`` consume for the same ``(workload, params, seed)``.
-    """
-    return generate_workload_events(
-        items,
-        arrival_process=arrival_process,
-        arrival_rate=arrival_rate,
-        burstiness=burstiness,
-        churn=churn,
-        seed=seed,
-        workload=workload,
-        workload_params=workload_params,
-    )
+__all__ = ["LoadgenReport", "run_loadgen", "loadgen"]
 
 
 @dataclass
@@ -198,20 +170,19 @@ async def run_loadgen(
     items: int,
     connections: int = 4,
     max_in_flight: int = 64,
-    churn: float = 0.0,
-    arrival_process: str = "none",
-    arrival_rate: float = 1000.0,
-    burstiness: float = 4.0,
     seed: Optional[int] = 0,
     collect_stats: bool = True,
     shutdown_after: bool = False,
-    workload: Optional[str] = None,
+    workload: str = "uniform",
     workload_params: Optional[Dict[str, Any]] = None,
 ) -> LoadgenReport:
     """Drive ``items`` placements (plus churn) at the server; measure.
 
-    The event stream and its partition over connections are deterministic
-    in ``seed``; see the module docstring for what is and is not measured.
+    The event stream is the registry's ``generate_events(workload, items,
+    workload_params, seed)``, verbatim — the same events ``repro stream``
+    and ``simulate`` consume for that triple.  It and its partition over
+    connections are deterministic in ``seed``; see the module docstring for
+    what is and is not measured.
     ``shutdown_after`` sends the shutdown op once the stream (and the final
     stats read) completes — the clean-exit path the CI smoke step uses.
     """
@@ -221,16 +192,7 @@ async def run_loadgen(
         raise ValueError(
             f"max_in_flight must be positive, got {max_in_flight}"
         )
-    events = build_loadgen_events(
-        items,
-        arrival_process=arrival_process,
-        arrival_rate=arrival_rate,
-        burstiness=burstiness,
-        churn=churn,
-        seed=seed,
-        workload=workload,
-        workload_params=workload_params,
-    )
+    events = generate_events(workload, items, workload_params, seed)
     connections = min(connections, max(1, items))
     parts = _partition_events(events, connections)
     tally = _Tally()

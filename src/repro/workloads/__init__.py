@@ -6,17 +6,14 @@ See :mod:`repro.workloads.records` for the contract and
 
 from .records import (
     Event,
-    LEGACY_WORKLOAD_DEFAULTS,
     WORKLOADS,
     Workload,
     WorkloadError,
     available_workloads,
     bind_spec_params,
     generate_events,
-    generate_workload_events,
     get_workload,
     register_workload,
-    resolve_legacy,
     substrate_arrivals,
     workload_branches,
     workloads_dump,
@@ -25,17 +22,14 @@ from . import library  # noqa: F401  (registers the scenario library)
 
 __all__ = [
     "Event",
-    "LEGACY_WORKLOAD_DEFAULTS",
     "WORKLOADS",
     "Workload",
     "WorkloadError",
     "available_workloads",
     "bind_spec_params",
     "generate_events",
-    "generate_workload_events",
     "get_workload",
     "register_workload",
-    "resolve_legacy",
     "substrate_arrivals",
     "workload_branches",
     "workloads_dump",

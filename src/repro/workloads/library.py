@@ -3,10 +3,10 @@
 Six scenarios cover ROADMAP item 3's open traffic shapes:
 
 ``uniform``
-    The historical bridge workload — sequential unique items, optional
-    Poisson/MMPP arrival stamping, optional uniform churn.  Its seed
-    derivation is frozen to the pre-registry layout so the deprecated
-    flag spellings keep producing byte-identical traces.
+    The default workload — sequential unique items, optional Poisson/MMPP
+    arrival stamping, optional uniform churn.  Its seed derivation is
+    frozen to the pre-registry layout so traces recorded before the
+    registry replay byte-identically.
 ``zipf_items``
     Power-law item popularity: repeated draws over a key universe with
     Zipf weights (the storage substrate's :func:`zipf_weights` sampler),
@@ -97,7 +97,7 @@ def _places_with_churn(
 
 
 # ----------------------------------------------------------------------
-# uniform — the legacy bridge entry
+# uniform — the default entry
 # ----------------------------------------------------------------------
 def _uniform_events(
     items: int, params: Mapping[str, Any], seed: Optional[int]
@@ -119,8 +119,8 @@ def _uniform_events(
         # sample_arrival_times consumed this generator's distribution from a
         # fresh default_rng(seed); reuse an independent stream for churn by
         # jumping to a child so the two draws never overlap.  This layout
-        # predates the registry and is frozen: recorded traces and the
-        # deprecated flag spellings must stay byte-identical.
+        # predates the registry and is frozen: recorded traces must stay
+        # byte-identical.
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     else:
         rng = np.random.default_rng(seed)
@@ -250,7 +250,7 @@ def _burst_stamper(
                 now += float(rng.exponential(1.0 / (rate * burstiness)))
             placed += 1
         # Evictions land with the burst that triggered them (same stamp),
-        # mirroring the legacy churn convention.
+        # mirroring the uniform churn convention.
         event["t"] = now
 
 

@@ -10,9 +10,8 @@ scenario to a serving spec (heterogeneous bin capacities) or to the cluster
 substrate's arrival samplers.  Every consuming surface is *derived* from the
 registry:
 
-* ``repro.online.trace.generate_workload_events`` — a thin legacy shim
-  (:func:`generate_workload_events` here) that resolves the historical
-  kwargs to a registry entry,
+* ``repro.online.trace`` — ``repro stream`` and recorded traces call
+  :func:`generate_events`,
 * ``repro.serve.loadgen`` — builds its request stream via
   :func:`generate_events`,
 * ``repro.simulation.workloads.workload_events`` — the batch/simulate
@@ -52,9 +51,6 @@ __all__ = [
     "substrate_arrivals",
     "workloads_dump",
     "workload_branches",
-    "LEGACY_WORKLOAD_DEFAULTS",
-    "resolve_legacy",
-    "generate_workload_events",
 ]
 
 Event = Dict[str, Any]
@@ -302,89 +298,3 @@ def workloads_dump() -> Dict[str, Any]:
             for record in WORKLOADS.values()
         },
     }
-
-
-# ----------------------------------------------------------------------
-# Legacy flag bridge
-# ----------------------------------------------------------------------
-#: The historical kwargs of ``generate_workload_events`` and the CLI flag
-#: spellings that alias them (``--arrival-process``/``--arrival-rate``/
-#: ``--burstiness``/``--churn``).  They resolve to the ``uniform`` entry.
-LEGACY_WORKLOAD_DEFAULTS: Dict[str, Any] = {
-    "arrival_process": "none",
-    "arrival_rate": 1000.0,
-    "burstiness": 4.0,
-    "switch_prob": 0.1,
-    "churn": 0.0,
-}
-
-
-def resolve_legacy(
-    arrival_process: str = "none",
-    arrival_rate: float = 1000.0,
-    burstiness: float = 4.0,
-    switch_prob: float = 0.1,
-    churn: float = 0.0,
-) -> "tuple[str, Dict[str, Any]]":
-    """Map the deprecated loose kwargs to a registered (name, params) pair."""
-    return "uniform", {
-        "arrival_process": arrival_process,
-        "arrival_rate": arrival_rate,
-        "burstiness": burstiness,
-        "switch_prob": switch_prob,
-        "churn": churn,
-    }
-
-
-def generate_workload_events(
-    items: int,
-    arrival_process: str = "none",
-    arrival_rate: float = 1000.0,
-    burstiness: float = 4.0,
-    switch_prob: float = 0.1,
-    churn: float = 0.0,
-    seed: Optional[int] = None,
-    workload: Optional[str] = None,
-    workload_params: Optional[Mapping[str, Any]] = None,
-) -> List[Event]:
-    """A deterministic request stream: ``items`` placements plus removals.
-
-    The legacy workload bridge, kept as a thin shim over the registry
-    (``repro.online.trace`` re-exports it): the historical kwargs resolve
-    to the ``uniform`` entry via :func:`resolve_legacy` and produce
-    byte-identical streams to the pre-registry implementation.  Passing
-    ``workload=`` selects any registered scenario instead; the legacy
-    kwargs must then stay at their defaults (mixing the two spellings
-    would be ambiguous).
-    """
-    if workload is None:
-        name, params = resolve_legacy(
-            arrival_process=arrival_process,
-            arrival_rate=arrival_rate,
-            burstiness=burstiness,
-            switch_prob=switch_prob,
-            churn=churn,
-        )
-        if workload_params:
-            raise WorkloadError(
-                "workload_params requires workload=<name>; the legacy "
-                "kwargs configure the 'uniform' entry directly"
-            )
-        return generate_events(name, items, params, seed)
-    legacy = {
-        "arrival_process": arrival_process,
-        "arrival_rate": arrival_rate,
-        "burstiness": burstiness,
-        "switch_prob": switch_prob,
-        "churn": churn,
-    }
-    drifted = sorted(
-        key for key, value in legacy.items()
-        if value != LEGACY_WORKLOAD_DEFAULTS[key]
-    )
-    if drifted:
-        raise WorkloadError(
-            f"pass either workload={workload!r} with workload_params, or "
-            f"the legacy kwargs {drifted} — not both"
-        )
-    return generate_events(workload, items, workload_params, seed)

@@ -37,6 +37,7 @@ from repro.core.process import run_kd_choice
 from repro.core.serialization import run_serialized_kd_choice
 from repro.core.stale import run_stale_kd_choice
 from repro.core.weighted import run_weighted_kd_choice
+from repro.topology.schemes import run_hierarchical_go_left, run_locality_two_choice
 
 try:  # optional: the randomized parametrization below covers its absence
     from hypothesis import given, settings, strategies as st
@@ -227,6 +228,37 @@ def check_two_phase_adaptive(n_bins, n_balls, seed, cap, retry_probes):
     assert scalar.extra["retries"] == vector.extra["retries"]
 
 
+def _assert_same_zone_extra(scalar, vector):
+    """Zone probe/place counters and the fractions and costs derived from
+    them (the batch engine only adds its ``engine`` tag)."""
+    vector_extra = dict(vector.extra)
+    assert vector_extra.pop("engine") == "vectorized"
+    assert scalar.extra == vector_extra
+
+
+def check_hierarchical_go_left(n_bins, n_balls, seed, topology):
+    a, b = _paired_rngs(seed)
+    kwargs = dict(n_bins=n_bins, topology=topology, n_balls=n_balls)
+    scalar = run_hierarchical_go_left(**kwargs, rng=a)
+    vector = _vectorized("hierarchical_always_go_left")(**kwargs, rng=b)
+    _assert_equivalent(scalar, vector, a, b)
+    _assert_same_zone_extra(scalar, vector)
+
+
+def check_locality_two_choice(
+    n_bins, d, n_balls, seed, topology, bias, threshold, chunk_rounds=None
+):
+    a, b = _paired_rngs(seed)
+    kwargs = dict(
+        n_bins=n_bins, d=d, bias=bias, threshold=threshold, topology=topology,
+        n_balls=n_balls, chunk_rounds=chunk_rounds,
+    )
+    scalar = run_locality_two_choice(**kwargs, rng=a)
+    vector = _vectorized("locality_two_choice")(**kwargs, rng=b)
+    _assert_equivalent(scalar, vector, a, b)
+    _assert_same_zone_extra(scalar, vector)
+
+
 # ----------------------------------------------------------------------
 # Randomized-seed parametrization (always runs, Hypothesis or not)
 # ----------------------------------------------------------------------
@@ -289,6 +321,46 @@ _LARGE_D_CHUNK_IDS = [
     f"{_ids([case])[0]}-chunk{chunk}" for case, chunk in _LARGE_D_CHUNKS
 ]
 _SERIALIZED_CASES = _cases("serialized")
+
+#: Topology kernels: every layout (bound to n_bins, so ``wide`` puts 8
+#: racks over as few as 8 bins) crossed with every bias and threshold, on
+#: small bin counts with up to 3n balls so batches conflict heavily.
+_TOPOLOGY_LAYOUT_NAMES = ("flat", "dual_zone", "wide")
+_HIERARCHICAL_CASES = [
+    dict(case, topology=_TOPOLOGY_LAYOUT_NAMES[case["index"] % 3])
+    for case in _cases("hierarchical")
+]
+_LOCALITY_CASES = [
+    dict(
+        case,
+        n_bins=min(case["n_bins"], 600),
+        n_balls=min(case["n_balls"], 3 * min(case["n_bins"], 600)),
+        topology=topology,
+        bias=bias,
+        threshold=threshold,
+        chunk_rounds=(None, 1, 7, 64)[case["index"] % 4],
+    )
+    for case, (topology, bias, threshold) in zip(
+        _cases("locality", count=36),
+        [
+            (topology, bias, threshold)
+            for topology in _TOPOLOGY_LAYOUT_NAMES
+            for bias in (0.0, 0.3, 0.6, 1.0)
+            for threshold in (0, 1, 3)
+        ],
+    )
+]
+
+
+def _topology_ids(cases):
+    return [
+        f"{case['topology']}-n{case['n_bins']}-m{case['n_balls']}"
+        + (f"-d{case['d']}-b{case['bias']}-t{case['threshold']}"
+           if "bias" in case else "")
+        for case in cases
+    ]
+
+
 _WEIGHTED_CASES = _cases("weighted")
 _STALE_CASES = _cases("stale")
 _CHURN_CASES = _cases("churn")
@@ -393,6 +465,24 @@ class TestRandomizedEquivalence:
     @pytest.mark.parametrize("case", _BASELINE_CASES, ids=_ids(_BASELINE_CASES))
     def test_always_go_left(self, case):
         check_always_go_left(case["n_bins"], case["d"], case["n_balls"], case["seed"])
+
+    @pytest.mark.parametrize(
+        "case", _HIERARCHICAL_CASES, ids=_topology_ids(_HIERARCHICAL_CASES)
+    )
+    def test_hierarchical_go_left(self, case):
+        check_hierarchical_go_left(
+            case["n_bins"], case["n_balls"], case["seed"], case["topology"]
+        )
+
+    @pytest.mark.parametrize(
+        "case", _LOCALITY_CASES, ids=_topology_ids(_LOCALITY_CASES)
+    )
+    def test_locality_two_choice(self, case):
+        check_locality_two_choice(
+            case["n_bins"], case["d"], case["n_balls"], case["seed"],
+            case["topology"], case["bias"], case["threshold"],
+            case["chunk_rounds"],
+        )
 
     @pytest.mark.parametrize("case", _ADAPTIVE_CASES, ids=_ids(_ADAPTIVE_CASES))
     def test_threshold_adaptive(self, case):
@@ -503,6 +593,28 @@ if HAVE_HYPOTHESIS:
             d = min(d, n_bins)
             n_balls = max(1, round(m_frac * n_bins))
             check_always_go_left(n_bins, d, n_balls, seed)
+
+        @settings(**COMMON)
+        @given(n_bins=st.integers(8, 600), m_frac=st.floats(0.01, 3.0),
+               seed=seeds,
+               topology=st.sampled_from(_TOPOLOGY_LAYOUT_NAMES))
+        def test_hierarchical_go_left(self, n_bins, m_frac, seed, topology):
+            n_balls = max(1, round(m_frac * n_bins))
+            check_hierarchical_go_left(n_bins, n_balls, seed, topology)
+
+        @settings(**COMMON)
+        @given(n_bins=st.integers(8, 600), d=st.integers(1, 8),
+               m_frac=st.floats(0.01, 3.0), seed=seeds,
+               topology=st.sampled_from(_TOPOLOGY_LAYOUT_NAMES),
+               bias=st.sampled_from([0.0, 0.3, 0.6, 1.0]),
+               threshold=st.sampled_from([0, 1, 3]))
+        def test_locality_two_choice(
+            self, n_bins, d, m_frac, seed, topology, bias, threshold
+        ):
+            n_balls = max(1, round(m_frac * n_bins))
+            check_locality_two_choice(
+                n_bins, d, n_balls, seed, topology, bias, threshold
+            )
 
         @settings(**COMMON)
         @given(n_bins=sizes, m_frac=st.floats(0.01, 3.0), seed=seeds,

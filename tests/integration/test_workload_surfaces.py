@@ -5,14 +5,15 @@ The workload contract (:mod:`repro.workloads`) promises that one
 on every consuming surface:
 
 * the registry itself (``generate_events``),
-* the legacy online bridge (``repro.online.trace.generate_workload_events``),
-* the loadgen's request builder (``repro.serve.loadgen.build_loadgen_events``),
+* the names the online trace module and the loadgen derive their streams
+  from (``repro.online.trace.generate_events``,
+  ``repro.serve.loadgen.generate_events``),
 * the simulation-side re-export (``repro.simulation.workloads.workload_events``),
 * and the trace a ``repro stream --workload ...`` run records to disk.
 
 This module is that promise as a test, plus the PR-8 byte-compatibility
-lock: an inlined copy of the pre-registry ``generate_workload_events``
-implementation must keep matching the shim for every legacy kwarg spelling.
+lock: an inlined copy of the pre-registry event generator must keep
+matching the ``uniform`` scenario for every parameter combination it had.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import pytest
 
 from repro.api import SchemeSpec
 from repro.online import trace
-from repro.serve.loadgen import build_loadgen_events
+from repro.serve.loadgen import generate_events as loadgen_events
 from repro.simulation import workloads as simulation_workloads
 from repro.workloads import available_workloads, generate_events
 
@@ -53,22 +54,18 @@ class TestEverySurfaceDerivesTheSameStream:
     @pytest.mark.parametrize("name,params", SCENARIOS,
                              ids=[name for name, _ in SCENARIOS])
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_registry_bridge_loadgen_and_simulation_agree(
+    def test_registry_trace_loadgen_and_simulation_agree(
         self, name, params, seed
     ):
         reference = generate_events(name, ITEMS, params, seed)
         assert len([e for e in reference if e["op"] == "place"]) == ITEMS
 
-        bridged = trace.generate_workload_events(
-            ITEMS, seed=seed, workload=name, workload_params=params
-        )
-        loadgen_stream = build_loadgen_events(
-            ITEMS, seed=seed, workload=name, workload_params=params
-        )
+        streamed = trace.generate_events(name, ITEMS, params, seed)
+        loadgen_stream = loadgen_events(name, ITEMS, params, seed)
         simulated = simulation_workloads.workload_events(
             name, ITEMS, params, seed
         )
-        assert bridged == reference
+        assert streamed == reference
         assert loadgen_stream == reference
         assert simulated == reference
 
@@ -165,7 +162,7 @@ def _legacy_reference(
     return events
 
 
-class TestLegacySpellingsStayByteIdentical:
+class TestUniformMatchesThePreRegistryGenerator:
     LEGACY_CASES = [
         {},
         {"churn": 0.3},
@@ -177,12 +174,12 @@ class TestLegacySpellingsStayByteIdentical:
     @pytest.mark.parametrize("kwargs", LEGACY_CASES,
                              ids=["plain", "churn", "poisson", "mmpp"])
     @pytest.mark.parametrize("seed", [0, 11])
-    def test_shim_matches_the_pre_registry_implementation(self, kwargs, seed):
+    def test_uniform_matches_the_pre_registry_implementation(
+        self, kwargs, seed
+    ):
         expected = _legacy_reference(ITEMS, seed=seed, **kwargs)
-        assert trace.generate_workload_events(
-            ITEMS, seed=seed, **kwargs
-        ) == expected
+        assert generate_events("uniform", ITEMS, kwargs, seed) == expected
 
     def test_unseeded_plain_stream_is_the_identity_sequence(self):
-        events = trace.generate_workload_events(10)
+        events = generate_events("uniform", 10)
         assert events == [{"op": "place", "item": i} for i in range(10)]

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from repro.api import SchemeSpec
+from repro.workloads import generate_events
 from repro.online import (
     OnlineAllocator,
     TraceError,
     TraceHeader,
     TraceWriter,
-    generate_workload_events,
     read_trace,
     record_workload,
     replay_trace,
@@ -29,8 +29,9 @@ class TestFormat:
     def test_record_is_byte_deterministic(self, tmp_path):
         for target in ("a.jsonl", "b.jsonl"):
             record_workload(
-                tmp_path / target, SPEC, items=64, arrival_process="mmpp",
-                arrival_rate=500.0, churn=0.2, workload_seed=11,
+                tmp_path / target, SPEC, items=64, workload_seed=11,
+                workload_params={"arrival_process": "mmpp",
+                                 "arrival_rate": 500.0, "churn": 0.2},
             )
         assert (tmp_path / "a.jsonl").read_bytes() == (
             tmp_path / "b.jsonl"
@@ -38,7 +39,10 @@ class TestFormat:
 
     def test_replay_rerecord_is_byte_identical(self, tmp_path):
         source = tmp_path / "in.jsonl"
-        record_workload(source, SPEC, items=64, churn=0.15, workload_seed=4)
+        record_workload(
+            source, SPEC, items=64, workload_seed=4,
+            workload_params={"churn": 0.15},
+        )
         replay_trace(source, engine="scalar", record_out=tmp_path / "out.jsonl")
         assert source.read_bytes() == (tmp_path / "out.jsonl").read_bytes()
 
@@ -79,16 +83,19 @@ class TestFormat:
 
 class TestWorkloadBridge:
     def test_arrival_stamps_are_monotone(self):
-        events = generate_workload_events(
-            50, arrival_process="poisson", arrival_rate=100.0, seed=3
+        events = generate_events(
+            "uniform", 50,
+            {"arrival_process": "poisson", "arrival_rate": 100.0}, seed=3,
         )
         times = [event["t"] for event in events]
         assert times == sorted(times)
         assert len(events) == 50
 
     def test_mmpp_stamps_and_churn_interleave(self):
-        events = generate_workload_events(
-            200, arrival_process="mmpp", arrival_rate=100.0, churn=0.3, seed=3
+        events = generate_events(
+            "uniform", 200,
+            {"arrival_process": "mmpp", "arrival_rate": 100.0, "churn": 0.3},
+            seed=3,
         )
         removes = [event for event in events if event["op"] == "remove"]
         assert removes, "churn=0.3 over 200 places should remove something"
@@ -102,17 +109,17 @@ class TestWorkloadBridge:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="churn"):
-            generate_workload_events(10, churn=1.5)
+            generate_events("uniform", 10, {"churn": 1.5})
         with pytest.raises(ValueError, match="non-negative"):
-            generate_workload_events(-1)
+            generate_events("uniform", -1)
 
 
 class TestReplay:
     def test_identical_across_engines(self, tmp_path):
         path = tmp_path / "t.jsonl"
         record_workload(
-            path, SPEC, items=64, arrival_process="mmpp", churn=0.2,
-            workload_seed=11,
+            path, SPEC, items=64, workload_seed=11,
+            workload_params={"arrival_process": "mmpp", "churn": 0.2},
         )
         results = {
             engine: replay_trace(path, engine=engine)
@@ -123,7 +130,8 @@ class TestReplay:
     def test_stream_then_replay_reproduces(self, tmp_path):
         path = tmp_path / "t.jsonl"
         live = stream_workload(
-            SPEC, items=64, churn=0.1, workload_seed=5, record=path
+            SPEC, items=64, workload_seed=5, record=path,
+            workload_params={"churn": 0.1},
         )
         replayed = replay_trace(path, engine="scalar")
         assert live.stats == replayed.stats
@@ -188,7 +196,7 @@ class TestEngineIdentityRegressions:
         # when a run spans many sample intervals.
         from repro.online import LoadTelemetry, run_events
 
-        events = generate_workload_events(10_000, seed=1)
+        events = generate_events("uniform", 10_000, seed=1)
         results = {}
         for engine in ("scalar", "auto"):
             spec = SchemeSpec(
@@ -213,7 +221,8 @@ class TestEngineIdentityRegressions:
         )
         path = tmp_path / "stale.jsonl"
         live = stream_workload(
-            spec, items=64, churn=0.5, workload_seed=1, record=path
+            spec, items=64, workload_seed=1, record=path,
+            workload_params={"churn": 0.5},
         )
         assert live.removes > 0
         for engine in ("scalar", "auto"):

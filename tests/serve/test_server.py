@@ -318,7 +318,8 @@ class TestLoadgen:
         async def body(server):
             report = await run_loadgen(
                 "127.0.0.1", server.port,
-                items=400, connections=3, churn=0.2, seed=9,
+                items=400, connections=3, seed=9,
+                workload="uniform", workload_params={"churn": 0.2},
             )
             assert report.places == 400
             assert report.errors == 0
@@ -336,11 +337,10 @@ class TestLoadgen:
         run(with_server(body))
 
     def test_loadgen_event_stream_is_deterministic(self):
-        from repro.serve.loadgen import _partition_events
-        from repro.online.trace import generate_workload_events
+        from repro.serve.loadgen import _partition_events, generate_events
 
-        events = generate_workload_events(200, churn=0.3, seed=4)
-        again = generate_workload_events(200, churn=0.3, seed=4)
+        events = generate_events("uniform", 200, {"churn": 0.3}, seed=4)
+        again = generate_events("uniform", 200, {"churn": 0.3}, seed=4)
         assert events == again
         parts = _partition_events(events, 4)
         assert sum(len(part) for part in parts) == len(events)

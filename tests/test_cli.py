@@ -217,14 +217,25 @@ class TestStreamReplayCommands:
         main(
             ["stream", "--scheme", "kd_choice", "--param", "n_bins=64",
              "--param", "k=2", "--param", "d=4", "--items", "64", "--seed", "7",
-             "--churn", "0.2", "--workload-seed", "3",
-             "--record", str(trace)]
+             "--workload", "uniform", "--workload-param", "churn=0.2",
+             "--workload-seed", "3", "--record", str(trace)]
         )
         streamed = capsys.readouterr().out
         assert main(["replay", "--trace", str(trace)]) == 0
         replayed = capsys.readouterr().out
         # Identical summaries modulo the trailing "recorded:" line.
         assert replayed.rstrip("\n") in streamed
+
+    @pytest.mark.parametrize("command", [
+        ["stream", "--scheme", "kd_choice", "--param", "n_bins=64"],
+        ["loadgen", "--port", "1"],
+    ])
+    def test_retired_churn_flag_is_unrecognized(self, capsys, command):
+        # The workload is spelled only as --workload/--workload-param.
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--churn", "0.1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --churn 0.1" in capsys.readouterr().err
 
     def test_replay_missing_trace_is_clean_error(self):
         with pytest.raises(SystemExit, match="not found"):

@@ -24,7 +24,7 @@ def _write(path: Path, payload: dict) -> str:
 def _snapshot(batch: int, stream: int = 50_000, cpus: int = 2) -> dict:
     return {
         "cpus": cpus,
-        "schemes": {
+        "series": {
             "kd_choice": {
                 "batch_items_per_sec": batch,
                 "stream_items_per_sec": stream,
@@ -127,7 +127,7 @@ class TestBenchCompare:
         # json can carry NaN (Python's encoder emits it by default); it must
         # not satisfy the "no regression" comparison by being unordered.
         broken = _snapshot(1_000_000)
-        broken["schemes"]["kd_choice"]["batch_items_per_sec"] = float("nan")
+        broken["series"]["kd_choice"]["batch_items_per_sec"] = float("nan")
         old = _write(tmp_path / "old.json", _snapshot(1_000_000))
         new = _write(tmp_path / "new.json", broken)
         with pytest.raises(SystemExit, match="unusable rate"):

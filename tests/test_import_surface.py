@@ -1,4 +1,4 @@
-"""The top-level import surface: ``__all__`` is exact, the shims are gone."""
+"""The import surface: ``__all__`` is exact, the shims are gone."""
 
 from __future__ import annotations
 
@@ -49,6 +49,31 @@ _REMOVED_SHIM_MODULES = ("repro.core.vectorized", "repro.online.steppers")
 def test_shim_modules_are_gone(module):
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(module)
+
+
+#: The second spelling of the ``uniform`` workload, retired in favour of
+#: ``generate_events(workload, items, params, seed)``.
+_REMOVED_WORKLOAD_NAMES = (
+    ("repro.workloads", "resolve_legacy"),
+    ("repro.workloads", "LEGACY_WORKLOAD_DEFAULTS"),
+    ("repro.workloads", "generate_workload_events"),
+    ("repro.workloads.records", "resolve_legacy"),
+    ("repro.workloads.records", "LEGACY_WORKLOAD_DEFAULTS"),
+    ("repro.workloads.records", "generate_workload_events"),
+    ("repro.online", "generate_workload_events"),
+    ("repro.online.trace", "generate_workload_events"),
+    ("repro.serve.loadgen", "build_loadgen_events"),
+)
+
+
+@pytest.mark.parametrize(
+    "module,name", _REMOVED_WORKLOAD_NAMES,
+    ids=[f"{module}.{name}" for module, name in _REMOVED_WORKLOAD_NAMES],
+)
+def test_legacy_workload_names_are_gone(module, name):
+    imported = importlib.import_module(module)
+    assert not hasattr(imported, name), f"{module}.{name} should be gone"
+    assert name not in getattr(imported, "__all__", ())
 
 
 @pytest.mark.parametrize("package", ["repro.core", "repro.core.kernels"])
