@@ -3,8 +3,8 @@
 :func:`simulate` is the canonical entry point of the library: it resolves a
 :class:`~repro.api.spec.SchemeSpec` against the scheme registry, validates
 the parameters against the runner's signature, picks an execution engine
-(scalar reference or the vectorized fast path) and returns the familiar
-:class:`~repro.core.types.AllocationResult`.
+(the scalar reference, or the compiled or vectorized fast path) and returns
+the familiar :class:`~repro.core.types.AllocationResult`.
 
 :func:`simulate_many` fans a batch of specs out over repeated trials with a
 *shared* :class:`~repro.simulation.rng.SeedTree`, so a whole experiment is
@@ -58,24 +58,18 @@ def resolve_engine(spec: SchemeSpec, info: Optional[SchemeInfo] = None) -> str:
     """Decide which engine a spec runs on ("scalar", "vectorized" or
     "compiled").
 
-    ``engine="auto"`` selects the vectorized fast path whenever the scheme
-    provides one and the spec stays inside its *fast-path* envelope (strict
-    policy, no guard-rejected parameters, an actual speedup on offer); the
-    engines are seed-for-seed identical, so this is purely a performance
-    decision.  A forced ``engine="vectorized"`` is honoured whenever the
-    batch engine can run the spec at all — including the derived
-    drive-the-kernel engines that a fast-path guard keeps away from
-    ``auto`` — and raises :class:`~repro.api.spec.SchemeSpecError` outside
-    that hard envelope (normally already at spec construction; this
-    re-check covers specs built before the scheme was registered).  A
-    forced ``engine="compiled"`` additionally probes whether the C backend
-    can build/load here and raises with the guard reason when it cannot.
+    The engines are seed-for-seed identical, so ``engine="auto"`` is purely
+    a performance decision: the compiled engine wherever its fast path
+    applies (scheme coverage, parameters, and a C backend that builds
+    here), else the vectorized engine inside its fast-path envelope, else
+    the scalar reference.  ``REPRO_KERNEL=scalar`` pins ``auto`` to the
+    scalar reference.
 
-    Under ``engine="auto"``, the ``REPRO_KERNEL`` environment variable
-    steers the preference: ``compiled`` prefers the compiled engine when
-    its full fast path (scheme coverage, parameters, backend availability)
-    applies — degrading silently to the normal auto choice otherwise —
-    and ``scalar`` pins the reference engine.
+    A forced engine is honoured whenever it can run the spec at all and
+    raises :class:`~repro.api.spec.SchemeSpecError` with the guard's reason
+    otherwise (normally already at spec construction; this re-check covers
+    specs built before the scheme was registered, and a forced
+    ``"compiled"`` also probes the backend).
     """
     info = info if info is not None else get_scheme(spec.scheme)
     if spec.engine == "scalar":
@@ -93,15 +87,10 @@ def resolve_engine(spec: SchemeSpec, info: Optional[SchemeInfo] = None) -> str:
             raise SchemeSpecError(reason)
         return "compiled"
     # auto
-    preference = os.environ.get("REPRO_KERNEL", "").strip().lower()
-    if preference == "scalar":
+    if os.environ.get("REPRO_KERNEL", "").strip().lower() == "scalar":
         return "scalar"
-    if preference == "compiled":
-        reason = compiled_fastpath_reason(
-            info, spec.policy, spec.params, probe_backend=True
-        )
-        if reason is None:
-            return "compiled"
+    if compiled_fastpath_reason(info, spec.policy, spec.params) is None:
+        return "compiled"
     reason = vectorized_fastpath_reason(info, spec.policy, spec.params)
     return "scalar" if reason is not None else "vectorized"
 

@@ -78,7 +78,6 @@ def _kernel_surface_violations() -> List[str]:
                 kernel.fastpath_guard,
             ),
             ("compiled", info.compiled, kernel.engines.get("compiled")),
-            ("compiled_guard", info.compiled_guard, kernel.compiled_guard),
             (
                 "compiled_fastpath_guard",
                 info.compiled_fastpath_guard,

@@ -78,15 +78,12 @@ class SchemeInfo:
     ] = None
     #: Optional compiled (C-backend) runner, derived from the kernel record
     #: exactly like ``vectorized`` (``drive``'s ``"compiled"`` mode).
-    #: Selected via ``engine="compiled"`` or the ``REPRO_KERNEL=compiled``
-    #: auto-preference; seed-for-seed identical to the scalar reference by
-    #: construction.
+    #: Selected via ``engine="compiled"``, and by ``engine="auto"`` wherever
+    #: the C backend builds; seed-for-seed identical to the scalar reference
+    #: by construction.
     compiled: Optional[Runner] = None
-    #: Hard capability guard for the compiled runner (parameters the C
-    #: kernels cannot run, e.g. probe widths beyond the static scratch).
-    compiled_guard: Optional[Callable[[Mapping[str, Any]], Optional[str]]] = None
     #: Soft guard: the compiled engine works but degenerates to the
-    #: per-unit drive path (no speedup), so auto-preference skips it.
+    #: per-unit drive path (no speedup), so ``engine="auto"`` skips it.
     compiled_fastpath_guard: Optional[
         Callable[[Mapping[str, Any]], Optional[str]]
     ] = None
@@ -217,12 +214,10 @@ class SchemeRegistry:
             vectorized_guard = kernel.vectorized_guard
             fastpath_guard = kernel.fastpath_guard
             compiled = kernel.engines.get("compiled")
-            compiled_guard = kernel.compiled_guard
             compiled_fastpath_guard = kernel.compiled_fastpath_guard
             online = kernel.stepper
         else:
             compiled = None
-            compiled_guard = None
             compiled_fastpath_guard = None
 
         def decorator(runner: Runner) -> Runner:
@@ -244,7 +239,6 @@ class SchemeRegistry:
                 vectorized_guard=vectorized_guard,
                 vectorized_fastpath_guard=fastpath_guard,
                 compiled=compiled,
-                compiled_guard=compiled_guard,
                 compiled_fastpath_guard=compiled_fastpath_guard,
                 online=online,
                 online_guard=online_guard,
@@ -432,9 +426,9 @@ def compiled_unsupported_reason(
     """Why ``engine="compiled"`` cannot run this configuration, or ``None``.
 
     Mirrors :func:`vectorized_unsupported_reason` (same policy restriction —
-    the compiled engines derive from the same steppers) plus the scheme's
-    ``compiled_guard`` and, when ``probe_backend`` is true, whether the C
-    backend can actually build/load in this environment.  Construction-time
+    the compiled engines derive from the same steppers) plus, when
+    ``probe_backend`` is true, whether the C backend can actually
+    build/load in this environment.  Construction-time
     spec validation passes ``probe_backend=False`` so a spec's validity is a
     structural property, not a property of the machine it was built on;
     run-time engine resolution probes.
@@ -450,10 +444,6 @@ def compiled_unsupported_reason(
             f"the compiled engine supports only the strict policy, "
             f"got policy={policy!r}"
         )
-    if info.compiled_guard is not None:
-        reason = info.compiled_guard(params)
-        if reason is not None:
-            return reason
     if probe_backend:
         from repro.core.compiled import backend_unavailable_reason
 
@@ -469,12 +459,12 @@ def compiled_fastpath_reason(
     params: Mapping[str, Any],
     probe_backend: bool = True,
 ) -> Optional[str]:
-    """Why auto-preference should *skip the compiled engine*, or ``None``.
+    """Why ``engine="auto"`` should *skip the compiled engine*, or ``None``.
 
     A superset of :func:`compiled_unsupported_reason`, mirroring
-    :func:`vectorized_fastpath_reason`: configurations where the compiled
-    engine is honoured but degenerates to the per-unit drive path (callable
-    thresholds) are no reason to override the default engine choice.
+    :func:`vectorized_fastpath_reason`: where a forced compiled engine is
+    honoured but degenerates to the per-unit drive path (callable
+    thresholds), ``auto`` falls back to its vectorized/scalar choice.
     """
     hard = compiled_unsupported_reason(info, policy, params, probe_backend)
     if hard is not None:

@@ -59,6 +59,25 @@ def _ptr(ffi, ctype: str, arr: np.ndarray):
     return ffi.cast(ctype, ffi.from_buffer(arr))
 
 
+def _round_shape(samples: np.ndarray, ties: np.ndarray, k: int) -> tuple[int, int]:
+    """``(r, d)`` of a round block; the C kernels size their scratch by it."""
+    r, d = samples.shape
+    if ties.shape != samples.shape or not 1 <= k <= d:
+        raise ValueError(
+            f"round kernels need ties shaped like samples {samples.shape} "
+            f"and 1 <= k <= d; got ties {ties.shape}, k={k}"
+        )
+    return r, d
+
+
+def _check_scratch(status: int, d: int) -> None:
+    """The round kernels allocate O(d) scratch per call; -1 means it failed."""
+    if status != 0:
+        raise MemoryError(
+            f"compiled round kernel could not allocate scratch for d={d}"
+        )
+
+
 def kd_rounds(
     loads: np.ndarray, samples: np.ndarray, ties: np.ndarray, k: int
 ) -> np.ndarray:
@@ -71,15 +90,16 @@ def kd_rounds(
     loads = _mutable(loads, np.int64)
     samples = _in_i64(samples)
     ties = _in_f64(ties)
-    r, d = samples.shape
+    r, d = _round_shape(samples, ties, k)
     out = np.empty((r, k), dtype=np.int64)
-    lib.repro_kd_rounds(
+    status = lib.repro_kd_rounds(
         _ptr(ffi, "int64_t *", loads),
         _ptr(ffi, "const int64_t *", samples),
         _ptr(ffi, "const double *", ties),
         r, d, k,
         _ptr(ffi, "int64_t *", out),
     )
+    _check_scratch(status, d)
     return out
 
 
@@ -92,15 +112,16 @@ def select_rows(
     snapshot = _in_i64(snapshot)
     samples = _in_i64(samples)
     ties = _in_f64(ties)
-    r, d = samples.shape
+    r, d = _round_shape(samples, ties, k)
     out = np.empty((r, k), dtype=np.int64)
-    lib.repro_select_rows(
+    status = lib.repro_select_rows(
         _ptr(ffi, "const int64_t *", snapshot),
         _ptr(ffi, "const int64_t *", samples),
         _ptr(ffi, "const double *", ties),
         r, d, k,
         _ptr(ffi, "int64_t *", out),
     )
+    _check_scratch(status, d)
     return out
 
 
@@ -122,10 +143,15 @@ def weighted_rounds(
     ties = _in_f64(ties)
     weights = _in_f64(weights)
     increments = _in_f64(increments)
-    r, d = samples.shape
     k = weights.shape[1]
+    r, d = _round_shape(samples, ties, k)
+    if weights.shape != (r, k) or increments.shape != (r,):
+        raise ValueError(
+            f"weighted rounds need weights ({r}, k) and increments ({r},); "
+            f"got {weights.shape} and {increments.shape}"
+        )
     out = np.empty((r, k), dtype=np.int64)
-    lib.repro_weighted_rounds(
+    status = lib.repro_weighted_rounds(
         _ptr(ffi, "double *", loads),
         _ptr(ffi, "int64_t *", counts),
         _ptr(ffi, "const int64_t *", samples),
@@ -135,6 +161,7 @@ def weighted_rounds(
         r, d, k,
         _ptr(ffi, "int64_t *", out),
     )
+    _check_scratch(status, d)
     return out
 
 

@@ -41,16 +41,16 @@ __all__ = [
 _SOURCE = Path(__file__).with_name("_kernels.c")
 
 _CDEF = """
-void repro_kd_rounds(int64_t *loads, const int64_t *samples,
-                     const double *ties, int64_t r, int64_t d, int64_t k,
-                     int64_t *out);
-void repro_select_rows(const int64_t *snapshot, const int64_t *samples,
-                       const double *ties, int64_t r, int64_t d, int64_t k,
-                       int64_t *out);
-void repro_weighted_rounds(double *loads, int64_t *counts,
-                           const int64_t *samples, const double *ties,
-                           const double *weights, const double *increments,
-                           int64_t r, int64_t d, int64_t k, int64_t *out);
+int repro_kd_rounds(int64_t *loads, const int64_t *samples,
+                    const double *ties, int64_t r, int64_t d, int64_t k,
+                    int64_t *out);
+int repro_select_rows(const int64_t *snapshot, const int64_t *samples,
+                      const double *ties, int64_t r, int64_t d, int64_t k,
+                      int64_t *out);
+int repro_weighted_rounds(double *loads, int64_t *counts,
+                          const int64_t *samples, const double *ties,
+                          const double *weights, const double *increments,
+                          int64_t r, int64_t d, int64_t k, int64_t *out);
 void repro_one_plus_beta(int64_t *loads, const uint8_t *coins,
                          const int64_t *first, const int64_t *second,
                          int64_t n, int64_t *out);

@@ -215,9 +215,10 @@ class AlwaysGoLeftStepper(OnlineStepper):
     def _refill(self) -> None:
         batch = min(self.planned_balls - self._balls_drawn, _BALL_CHUNK)
         uniform = self.rng.random(size=(batch, self.d))
-        self._probes = (
-            self._boundaries[:-1] + uniform * self._group_sizes
-        ).astype(np.int64)
+        # boundary + u * size, in place (IEEE addition commutes exactly).
+        uniform *= self._group_sizes
+        uniform += self._boundaries[:-1]
+        self._probes = uniform.astype(np.int64)
         self._pos = 0
         self._balls_drawn += batch
 

@@ -69,31 +69,6 @@ GREEDY_FASTPATH_REASON = (
 )
 
 
-#: Probe widths above this cannot run on the C kernels (their per-round
-#: scratch is statically sized).  Far beyond any meaningful configuration —
-#: d is O(log n) in every scheme the paper studies.
-_COMPILED_WIDTH_LIMIT = 1024
-
-
-def _compiled_width_guard(
-    *names: str,
-) -> Callable[[Mapping[str, Any]], Optional[str]]:
-    """Hard guard: named width parameters must stay within the C scratch."""
-
-    def guard(params: Mapping[str, Any]) -> Optional[str]:
-        for name in names:
-            value = params.get(name)
-            if isinstance(value, int) and value > _COMPILED_WIDTH_LIMIT:
-                return (
-                    f"the compiled kernels support {name} <= "
-                    f"{_COMPILED_WIDTH_LIMIT}, got {value}; use the "
-                    f"vectorized or scalar engine instead"
-                )
-        return None
-
-    return guard
-
-
 # ----------------------------------------------------------------------
 # Every derived batch engine is drive(kernel, mode, ...)
 # ----------------------------------------------------------------------
@@ -164,13 +139,13 @@ class Kernel:
     Left ``None``, the vectorized engine is ``drive``'s ``"numpy"`` mode.
 
     ``compiled`` marks schemes whose stepper has C block kernels; their
-    compiled engine is ``drive``'s ``"compiled"`` mode.  It has the same
-    two guard levels: ``compiled_guard`` (hard — the parameters cannot run
-    on the C kernels) and ``compiled_fastpath_guard`` (soft — the compiled
-    engine works but degenerates to the per-unit drive path, so the
-    ``REPRO_KERNEL=compiled`` auto-preference skips it).  Whether the C
-    backend itself is buildable in the current environment is a separate,
-    per-process question answered by
+    compiled engine is ``drive``'s ``"compiled"`` mode, and
+    ``engine="auto"`` prefers it over the vectorized engine.  The C kernels
+    run any parameters the stepper accepts, so the compiled engine has only
+    the soft level: ``compiled_fastpath_guard`` names parameters where it
+    works but degenerates to the per-unit drive path, so ``auto`` skips it.
+    Whether the C backend itself is buildable in the current environment
+    is a separate, per-process question answered by
     :func:`repro.core.compiled.backend_unavailable_reason`.
     """
 
@@ -183,7 +158,6 @@ class Kernel:
     vectorized_guard: Optional[Callable[[Mapping[str, Any]], Optional[str]]] = None
     fastpath_guard: Optional[Callable[[Mapping[str, Any]], Optional[str]]] = None
     compiled: bool = False
-    compiled_guard: Optional[Callable[[Mapping[str, Any]], Optional[str]]] = None
     compiled_fastpath_guard: Optional[
         Callable[[Mapping[str, Any]], Optional[str]]
     ] = None
@@ -224,7 +198,6 @@ KERNELS: Dict[str, Kernel] = {
         stepper=KDChoiceStepper,
         batched="speculate-and-truncate rounds (_select_rounds)",
         compiled=True,
-        compiled_guard=_compiled_width_guard("d"),
     ),
     "serialized_kd_choice": Kernel(
         name="serialized_kd_choice",
@@ -248,7 +221,6 @@ KERNELS: Dict[str, Kernel] = {
         stepper=WeightedKDChoiceStepper,
         batched="speculate-verify rounds (_weighted_batch)",
         compiled=True,
-        compiled_guard=_compiled_width_guard("d"),
     ),
     "stale_kd_choice": Kernel(
         name="stale_kd_choice",
@@ -261,7 +233,6 @@ KERNELS: Dict[str, Kernel] = {
         stepper=StaleKDChoiceStepper,
         batched="whole epochs on the aliased snapshot (strict_select_rows)",
         compiled=True,
-        compiled_guard=_compiled_width_guard("d"),
     ),
     "greedy_kd_choice": Kernel(
         name="greedy_kd_choice",
@@ -301,7 +272,6 @@ KERNELS: Dict[str, Kernel] = {
         stepper=DChoiceStepper,
         batched="speculate-and-truncate rounds (_select_rounds)",
         compiled=True,
-        compiled_guard=_compiled_width_guard("d"),
     ),
     "two_choice": Kernel(
         name="two_choice",
@@ -329,7 +299,6 @@ KERNELS: Dict[str, Kernel] = {
         stepper=AlwaysGoLeftStepper,
         batched="speculate-verify balls (prefix_conflicts)",
         compiled=True,
-        compiled_guard=_compiled_width_guard("d"),
     ),
     "batch_random": Kernel(
         name="batch_random",
@@ -347,7 +316,6 @@ KERNELS: Dict[str, Kernel] = {
         batched="speculate-verify balls; callable thresholds drive per-unit",
         fastpath_guard=_threshold_fastpath_guard,
         compiled=True,
-        compiled_guard=_compiled_width_guard("max_probes"),
         compiled_fastpath_guard=_threshold_fastpath_guard,
     ),
     "two_phase_adaptive": Kernel(
@@ -360,7 +328,6 @@ KERNELS: Dict[str, Kernel] = {
         stepper=TwoPhaseAdaptiveStepper,
         batched="speculate-verify balls (prefix_conflicts)",
         compiled=True,
-        compiled_guard=_compiled_width_guard("retry_probes"),
     ),
     "hierarchical_always_go_left": Kernel(
         name="hierarchical_always_go_left",

@@ -188,14 +188,16 @@ class OnlineAllocator:
                 f"returned {type(stepper).__name__}, expected an OnlineStepper"
             )
         self._stepper = stepper
-        # Kernel-mode resolution mirrors the batch engine's resolve_engine:
-        # a forced engine="compiled" must run compiled or fail loudly, while
-        # the REPRO_KERNEL=compiled preference under "auto" upgrades the
-        # block ingestion path only when the full fast path (scheme
-        # coverage, parameters, backend) applies.  The mode is a speed
-        # choice, not state — restore() re-resolves it for the restoring
-        # host, so a snapshot taken on a compiled host replays bit-
-        # identically on a pure-Python one.
+        # A forced engine="compiled" must run compiled or fail loudly.
+        # Unlike the batch engine's resolve_engine, "auto" stays on the
+        # NumPy blocks unless REPRO_KERNEL=compiled opts in: serve windows
+        # hold a few balls, so loading the C backend (tens of ms per
+        # process, paid by every shard launch) would cost more than it
+        # saves.  The opt-in upgrades the block ingestion path only when the
+        # full fast path (scheme coverage, parameters, backend) applies.
+        # The mode is a speed choice, not state — restore() re-resolves it
+        # for the restoring host, so a snapshot taken on a compiled host
+        # replays bit-identically on a pure-Python one.
         if spec.engine == "compiled":
             reason = compiled_unsupported_reason(
                 info, spec.policy, spec.params, probe_backend=True

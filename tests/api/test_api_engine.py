@@ -13,6 +13,7 @@ from repro.api import (
     simulate_many,
     simulate_trials,
 )
+from repro.core.compiled import backend_unavailable_reason
 from repro.core.process import run_kd_choice
 from repro.simulation.rng import SeedTree
 
@@ -68,8 +69,33 @@ class TestVectorizedEquivalence:
         assert result.extra["expected_messages"] == result.messages
 
 
+#: Covered families under ``engine="auto"``; the last two have no compiled
+#: engine, so they resolve to "vectorized" with or without the C backend.
+COVERED_FAMILIES = [
+    ("kd_choice", {"n_bins": 64, "k": 1, "d": 2}),
+    ("weighted_kd_choice", {"n_bins": 64, "k": 1, "d": 2}),
+    ("stale_kd_choice", {"n_bins": 64, "k": 1, "d": 2}),
+    ("two_choice", {"n_bins": 64}),
+    ("threshold_adaptive", {"n_bins": 64}),
+    ("churn_kd_choice", {"n_bins": 64, "k": 1, "d": 2, "rounds": 4}),
+    ("single_choice", {"n_bins": 64}),
+]
+
+requires_backend = pytest.mark.skipif(
+    backend_unavailable_reason() is not None,
+    reason=f"compiled backend unavailable: {backend_unavailable_reason()}",
+)
+
+
 class TestEngineResolution:
-    def test_auto_prefers_vectorized_for_strict_kd_choice(self):
+    @requires_backend
+    def test_auto_prefers_compiled_for_strict_kd_choice(self):
+        spec = SchemeSpec(scheme="kd_choice", params={"n_bins": 64, "k": 1, "d": 2})
+        assert resolve_engine(spec) == "compiled"
+
+    def test_auto_prefers_vectorized_for_strict_kd_choice_without_backend(
+        self, no_backend
+    ):
         spec = SchemeSpec(scheme="kd_choice", params={"n_bins": 64, "k": 1, "d": 2})
         assert resolve_engine(spec) == "vectorized"
 
@@ -92,15 +118,17 @@ class TestEngineResolution:
         )
         assert resolve_engine(spec) == "scalar"
 
-    def test_auto_prefers_vectorized_for_covered_families(self):
-        for scheme, params in [
-            ("weighted_kd_choice", {"n_bins": 64, "k": 1, "d": 2}),
-            ("stale_kd_choice", {"n_bins": 64, "k": 1, "d": 2}),
-            ("churn_kd_choice", {"n_bins": 64, "k": 1, "d": 2, "rounds": 4}),
-            ("single_choice", {"n_bins": 64}),
-            ("two_choice", {"n_bins": 64}),
-            ("threshold_adaptive", {"n_bins": 64}),
-        ]:
+    @requires_backend
+    def test_auto_prefers_compiled_for_covered_families(self):
+        for scheme, params in COVERED_FAMILIES:
+            expected = "compiled" if get_scheme(scheme).compiled else "vectorized"
+            spec = SchemeSpec(scheme=scheme, params=params)
+            assert resolve_engine(spec) == expected, scheme
+
+    def test_auto_prefers_vectorized_for_covered_families_without_backend(
+        self, no_backend
+    ):
+        for scheme, params in COVERED_FAMILIES:
             spec = SchemeSpec(scheme=scheme, params=params)
             assert resolve_engine(spec) == "vectorized", scheme
 

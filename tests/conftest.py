@@ -22,3 +22,9 @@ def small_n() -> int:
 def medium_n() -> int:
     """A medium problem size for statistical assertions."""
     return 3 * 2 ** 10
+
+
+@pytest.fixture
+def no_backend(monkeypatch):
+    """Make this test run as if on a host without the compiled backend."""
+    monkeypatch.setenv("REPRO_COMPILED_DISABLE", "1")

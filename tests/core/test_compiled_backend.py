@@ -37,12 +37,6 @@ from repro.online import OnlineAllocator, OnlineAllocatorError
 KD_PARAMS = {"n_bins": 64, "k": 2, "d": 4, "n_balls": 200}
 
 
-@pytest.fixture
-def no_backend(monkeypatch):
-    """Make this test run as if on a host without the compiled backend."""
-    monkeypatch.setenv("REPRO_COMPILED_DISABLE", "1")
-
-
 class TestDisabledBackend:
     def test_load_backend_raises_with_reason(self, no_backend):
         with pytest.raises(CompiledUnavailable, match="REPRO_COMPILED_DISABLE"):
@@ -123,16 +117,6 @@ class TestCapabilityGuards:
         )
         assert "strict" in reason
 
-    def test_width_guard_rejects_oversized_d(self):
-        info = get_scheme("kd_choice")
-        params = dict(KD_PARAMS, d=4096, k=2)
-        reason = compiled_unsupported_reason(info, None, params,
-                                             probe_backend=False)
-        assert reason is not None and "d" in reason
-        with pytest.raises(SchemeSpecError):
-            SchemeSpec(scheme="kd_choice", params=params, seed=0,
-                       engine="compiled")
-
     def test_callable_threshold_is_soft_guarded_only(self):
         # A callable threshold keeps auto off the compiled path (fastpath
         # reason) but stays inside the hard envelope: forcing compiled runs
@@ -174,6 +158,26 @@ class TestAvailableBackend:
         monkeypatch.setenv("REPRO_KERNEL", "compiled")
         spec = SchemeSpec(scheme="kd_choice", params=KD_PARAMS, seed=3)
         assert resolve_engine(spec) == "compiled"
+
+    @pytest.mark.parametrize("scheme,params", [
+        ("kd_choice", {"n_bins": 4000, "k": 700, "d": 1500, "n_balls": 2100}),
+        ("kd_choice", {"n_bins": 1600, "k": 1, "d": 1500, "n_balls": 24}),
+        ("stale_kd_choice",
+         {"n_bins": 3000, "k": 3, "d": 1500, "stale_rounds": 2, "n_balls": 30}),
+        ("weighted_kd_choice",
+         {"n_bins": 3000, "k": 4, "d": 1500, "n_balls": 40}),
+    ])
+    def test_forced_compiled_runs_wide_rounds(self, scheme, params):
+        # No width limit: the round kernels size their scratch per call.
+        SchemeSpec(scheme=scheme, params=params, seed=0, engine="compiled")
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        info = get_scheme(scheme)
+        scalar = info.runner(rng=a, **params)
+        compiled = info.compiled(rng=b, **params)
+        assert np.array_equal(scalar.loads, compiled.loads)
+        assert scalar.messages == compiled.messages
+        assert a.bit_generator.state == b.bit_generator.state
+        assert compiled.extra["engine"] == "compiled"
 
     def test_auto_preference_scalar_pins_scalar(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "scalar")

@@ -63,8 +63,9 @@ class TestTable1Golden:
         assert output == golden("table1_small.txt")
 
     def test_auto_engine_matches_golden(self, capsys):
-        # "auto" resolves to the vectorized fast path for kd_choice; the
-        # output must not depend on that choice.
+        # "auto" resolves to a batch engine for kd_choice (compiled where
+        # the C backend builds, else vectorized); the output must not
+        # depend on that choice.
         output = run_cli(capsys, TABLE1_ARGS)
         assert output == golden("table1_small.txt")
 
