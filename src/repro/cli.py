@@ -465,11 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-batch", type=int, default=1024, metavar="N",
-        help="most placements coalesced into one batch window",
-    )
-    serve.add_argument(
-        "--max-delay-ms", type=float, default=2.0, metavar="MS",
-        help="milliseconds a batch window stays open after its first place",
+        help="most queued requests served as one window",
     )
     serve.add_argument(
         "--restore", type=str, default=None, metavar="MANIFEST",
@@ -1001,7 +997,6 @@ def _run_serve(args: argparse.Namespace) -> None:
             mode=args.mode,
             policy_params=policy_params,
             max_batch=args.max_batch,
-            max_delay=args.max_delay_ms / 1000.0,
             snapshot_on_exit=args.snapshot_on_exit,
         )
         if args.restore is not None:

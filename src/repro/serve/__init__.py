@@ -19,9 +19,10 @@ Key pieces
     ``round_robin`` / ``least_loaded`` / ``two_choice`` policies, looked up
     through the same registry machinery as the schemes themselves.
 :class:`AllocationServer` / :class:`ServeClient`
-    Newline-delimited JSON over TCP with a batching window
-    (``max_batch`` / ``max_delay``); pipelining asyncio client plus a
-    blocking facade.  CLI: ``repro serve``.
+    Newline-delimited JSON over TCP, served in self-clocked ordered
+    windows (everything queued, up to ``max_batch`` requests, in one pool
+    job); pipelining asyncio client plus a blocking facade.  CLI:
+    ``repro serve``.
 :func:`run_loadgen`
     Deterministic workload generator + measurement harness against a live
     server.  CLI: ``repro loadgen``.

@@ -2,7 +2,7 @@
 
 :class:`ServeClient` is the asyncio client: it pipelines — requests go out
 without waiting for earlier responses, a reader task matches responses back
-to callers by ``id`` — which is what keeps the server's batch window full.
+to callers by ``id`` — which is what keeps the server's serve windows full.
 :class:`BlockingServeClient` wraps it for synchronous callers (tests, small
 scripts): it runs a private event loop on a background thread and exposes
 the same methods as plain blocking calls.

@@ -74,6 +74,8 @@ class LoadgenReport:
         if self.server:
             lines.append(
                 f"  server: requests={self.server['requests']}, "
+                f"windows={self.server['windows']}, "
+                f"mean_window={self.server['mean_window']:.1f}, "
                 f"batches={self.server['batches']}, "
                 f"mean_batch={self.server['mean_batch']:.1f}, "
                 f"largest_batch={self.server['largest_batch']}"

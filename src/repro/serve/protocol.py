@@ -24,8 +24,8 @@ Responses::
     {"id":4,"ok":false,"error":"unknown item 'user-7'; ..."}
 
 Mutating operations (place / place_batch / remove / snapshot) execute in
-arrival order; ``snapshot`` additionally quiesces the batching window, so
-the manifest it writes is a consistent cut of the whole pool.
+arrival order, so the manifest ``snapshot`` writes is a consistent cut of
+the whole pool: every operation queued before it, none after.
 """
 
 from __future__ import annotations

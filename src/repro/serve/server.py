@@ -1,19 +1,22 @@
-"""The asyncio frontend: NDJSON over TCP, batched into ``place_batch`` windows.
+"""The asyncio frontend: NDJSON over TCP, run in self-clocked ordered windows.
 
 :class:`AllocationServer` owns a :class:`~repro.serve.pool.ShardPool` and
-serves the :mod:`~repro.serve.protocol` over TCP.  Concurrent ``place``
-requests — from any number of connections — are coalesced into *batch
-windows*: the batcher collects up to ``max_batch`` placements or whatever
-arrived within ``max_delay`` seconds of the first, then routes and places
-the whole window through one :meth:`ShardPool.place_batch` call, riding the
-allocator's batched ingestion path instead of paying the per-request loop.
+serves the :mod:`~repro.serve.protocol` over TCP.  Every mutating request
+(place, place_batch, remove, snapshot) — from any number of connections —
+joins one queue in arrival order.  The batcher takes everything queued
+(up to ``max_batch`` ops) as one *window* and runs it on the pool thread in
+a single executor job: each run of ``place`` requests becomes one
+:meth:`ShardPool.place_batch` call, riding the allocator's batched
+ingestion path, and removes, batches and snapshots run in their arrival
+positions.  The window is self-clocked: while the pool thread works, the
+next window collects, so there is no timer — a lone request is served at
+once and load grows the windows by itself.
 
-Ordering semantics: every mutating operation (place, place_batch, remove,
-snapshot) passes through one queue and executes in arrival order — a
-``remove`` flushes the window collecting in front of it, and ``snapshot``
-quiesces the whole pipeline before the manifest is captured, so the written
-manifest is a consistent cut.  Responses may return out of order (clients
-match them by ``id``).
+Ordering semantics: the pool sees every mutating operation in arrival
+order, so a ``remove`` acts after the places queued before it and a
+``snapshot`` captures exactly the operations queued ahead of it — the
+written manifest is a consistent cut.  Responses may return out of order
+(clients match them by ``id``).
 
 All pool work runs on a dedicated single-thread executor: the event loop
 never blocks on shard IPC, and pool state is touched by exactly one thread.
@@ -49,17 +52,12 @@ class ServeConfig:
     policy: str = "two_choice"
     mode: str = "process"
     policy_params: Dict[str, Any] = field(default_factory=dict)
-    max_batch: int = 1024  #: placements coalesced per window at most
-    max_delay: float = 0.002  #: seconds the window stays open after its first
+    max_batch: int = 1024  #: queued ops taken into one window at most
     snapshot_on_exit: Optional[str] = None  #: manifest path written by stop()
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be positive, got {self.max_batch}")
-        if self.max_delay < 0:
-            raise ValueError(
-                f"max_delay must be non-negative, got {self.max_delay}"
-            )
 
 
 class _Stop:
@@ -70,7 +68,7 @@ _STOP = _Stop()
 
 
 class AllocationServer:
-    """One shard pool behind a batching TCP frontend.
+    """One shard pool behind a windowed TCP frontend.
 
     Build it with a spec (the pool is created on :meth:`start`) or hand it a
     pre-built pool.  Typical lifecycle::
@@ -113,7 +111,9 @@ class AllocationServer:
         self.places = 0
         self.removes = 0
         self.protocol_errors = 0
-        self.batches = 0
+        self.windows = 0  # pool jobs, one per window
+        self.window_ops = 0
+        self.batches = 0  # place_batch calls made for place requests
         self.batched_places = 0
         self.largest_batch = 0
 
@@ -188,115 +188,116 @@ class AllocationServer:
         await self._stopped.wait()
 
     # ------------------------------------------------------------------
-    # The batching window
+    # The serve window
     # ------------------------------------------------------------------
     async def _pool_call(self, fn: Any, *args: Any) -> Any:
         return await asyncio.get_running_loop().run_in_executor(
             self._pool_executor, fn, *args
         )
 
-    async def _flush(
-        self, batch: List[Tuple[Any, "asyncio.Future"]]
-    ) -> None:
-        """Place one window through the pool and resolve its futures."""
-        if not batch:
-            return
-        items = [item for item, _ in batch]
-        keys: Optional[List[Any]] = None
-        if any(item is not None for item in items):
-            # The pool requires all-or-none item ids; untracked placements
-            # in a mixed window get synthetic ones.
-            keys = [
-                item if item is not None else f"__serve_auto_{self.places + i}"
-                for i, item in enumerate(items)
-            ]
-        self.batches += 1
-        self.batched_places += len(batch)
-        self.largest_batch = max(self.largest_batch, len(batch))
-        try:
-            shards, bins = await self._pool_call(
-                self.pool.place_batch, len(batch), keys
-            )
-        except (ShardPoolError, ValueError) as exc:
-            for _, future in batch:
-                if not future.done():
-                    future.set_exception(ShardPoolError(str(exc)))
-            return
-        self.places += len(batch)
-        for position, (_, future) in enumerate(batch):
-            if not future.done():
-                future.set_result(
-                    (int(shards[position]), int(bins[position]))
-                )
-
     async def _batch_loop(self) -> None:
-        """Coalesce queued placements into windows; keep arrival order."""
+        """Take every queued entry as one window; run it in arrival order.
+
+        The window is self-clocked: whatever queued while the pool thread
+        ran the previous window is the next one (up to ``max_batch`` ops),
+        so there is no timer and no op closes a window early.
+        """
         loop = asyncio.get_running_loop()
+        queue = self._queue
+        max_batch = self.config.max_batch
         stopping = False
         while not stopping:
-            entry = await self._queue.get()
+            entry = await queue.get()
             if entry is _STOP:
                 break
-            batch: List[Tuple[Any, "asyncio.Future"]] = []
-            # Collect a window: up to max_batch places, or whatever arrives
-            # within max_delay of the first; any non-place entry closes the
-            # window (it must execute after the places queued before it).
-            deadline = loop.time() + self.config.max_delay
-            tail: Optional[Any] = None
-            while True:
-                kind = entry[0]
-                if kind == "place":
-                    batch.append((entry[1], entry[2]))
-                    if len(batch) >= self.config.max_batch:
-                        break
-                else:
-                    tail = entry
-                    break
-                timeout = deadline - loop.time()
-                if timeout <= 0:
-                    break
-                try:
-                    entry = await asyncio.wait_for(
-                        self._queue.get(), timeout
-                    )
-                except asyncio.TimeoutError:
-                    break
+            window = [entry]
+            while len(window) < max_batch and not queue.empty():
+                entry = queue.get_nowait()
                 if entry is _STOP:
                     stopping = True
                     break
-            await self._flush(batch)
-            if tail is not None:
-                await self._run_ordered(tail)
+                window.append(entry)
+            steps = self._plan(window)
+            outcomes = await loop.run_in_executor(
+                self._pool_executor, self._run_window, steps
+            )
+            self._resolve(steps, outcomes)
         # Drain anything queued behind the stop sentinel.
-        while not self._queue.empty():
-            entry = self._queue.get_nowait()
+        while not queue.empty():
+            entry = queue.get_nowait()
             if entry is _STOP:
                 continue
             future = entry[2]
             if not future.done():
                 future.set_exception(ShardPoolError("the server is stopping"))
 
-    async def _run_ordered(self, entry: Any) -> None:
-        """Execute a non-place entry at its arrival-order position."""
-        kind, payload, future = entry
-        try:
-            if kind == "remove":
-                result = await self._pool_call(self.pool.remove, payload)
-            elif kind == "batch":
-                result = await self._pool_call(
-                    self.pool.place_batch, payload, None
-                )
-                self.places += payload
-            elif kind == "snapshot":
-                result = await self._pool_call(self.pool.save, payload)
-            else:  # pragma: no cover - internal invariant
-                raise ShardPoolError(f"unknown queue entry {kind!r}")
-        except (ShardPoolError, ValueError) as exc:
-            if not future.done():
-                future.set_exception(ShardPoolError(str(exc)))
-            return
-        if not future.done():
-            future.set_result(result)
+    def _plan(self, window: List[Tuple[str, Any, "asyncio.Future"]]) -> List[tuple]:
+        """Group a window into pool calls, keeping arrival order.
+
+        Each maximal run of places with the same tracked-ness becomes one
+        ``place_batch`` step (the pool takes all-or-none item ids); every
+        other entry is a step of its own.  Grouping never changes a result:
+        ``place_batch`` is bit-identical to the same places one by one.
+        """
+        self.windows += 1
+        self.window_ops += len(window)
+        steps: List[tuple] = []
+        run: Optional[List[Any]] = None
+        for kind, payload, future in window:
+            if kind != "place":
+                run = None
+                steps.append((kind, payload, [future]))
+                continue
+            if run is None or (payload is None) != (run[0] is None):
+                run, run_futures = [], []
+                steps.append(("place", run, run_futures))
+                self.batches += 1
+            run.append(payload)
+            run_futures.append(future)
+            self.batched_places += 1
+            self.largest_batch = max(self.largest_batch, len(run))
+        return steps
+
+    def _run_window(self, steps: List[tuple]) -> List[Any]:
+        """Pool thread: run each step in order; one result or error each."""
+        pool = self.pool
+        outcomes: List[Any] = []
+        for kind, payload, _ in steps:
+            try:
+                if kind == "place":
+                    outcome = pool.place_batch(
+                        len(payload), payload if payload[0] is not None else None
+                    )
+                elif kind == "remove":
+                    outcome = pool.remove(payload)
+                elif kind == "batch":
+                    outcome = pool.place_batch(payload, None)
+                else:
+                    outcome = pool.save(payload)
+            except (ShardPoolError, ValueError, OSError) as exc:
+                outcome = ShardPoolError(str(exc))
+            outcomes.append(outcome)
+        return outcomes
+
+    def _resolve(self, steps: List[tuple], outcomes: List[Any]) -> None:
+        """Resolve each step's futures with its outcome."""
+        for (kind, payload, futures), outcome in zip(steps, outcomes):
+            if isinstance(outcome, ShardPoolError):
+                for future in futures:
+                    if not future.done():
+                        future.set_exception(ShardPoolError(str(outcome)))
+                continue
+            if kind == "place":
+                self.places += len(futures)
+                shards, bins = outcome
+                results: Any = zip(shards.tolist(), bins.tolist())
+            else:
+                if kind == "batch":
+                    self.places += payload
+                results = [outcome]
+            for future, result in zip(futures, results):
+                if not future.done():
+                    future.set_result(result)
 
     # ------------------------------------------------------------------
     # Connections
@@ -369,12 +370,12 @@ class AllocationServer:
             return ok_response(request_id, op="ping")
         if op == "place":
             future: "asyncio.Future" = loop.create_future()
-            await self._queue.put(("place", request.get("item"), future))
+            self._queue.put_nowait(("place", request.get("item"), future))
             shard, bin_index = await future
             return ok_response(request_id, shard=shard, bin=bin_index)
         if op == "place_batch":
             future = loop.create_future()
-            await self._queue.put(("batch", request["count"], future))
+            self._queue.put_nowait(("batch", request["count"], future))
             shards, bins = await future
             return ok_response(
                 request_id,
@@ -383,7 +384,7 @@ class AllocationServer:
             )
         if op == "remove":
             future = loop.create_future()
-            await self._queue.put(("remove", request["item"], future))
+            self._queue.put_nowait(("remove", request["item"], future))
             shard, bin_index = await future
             self.removes += 1
             return ok_response(request_id, shard=shard, bin=bin_index)
@@ -394,7 +395,7 @@ class AllocationServer:
             )
         if op == "snapshot":
             future = loop.create_future()
-            await self._queue.put(("snapshot", request["path"], future))
+            self._queue.put_nowait(("snapshot", request["path"], future))
             manifest = await future
             return ok_response(
                 request_id,
@@ -409,19 +410,21 @@ class AllocationServer:
         raise ProtocolError(f"unknown op {op!r}")  # pragma: no cover
 
     def server_stats(self) -> Dict[str, Any]:
-        """Frontend counters (batching effectiveness, error counts)."""
+        """Frontend counters (window and batch sizes, error counts)."""
         mean_batch = (
             self.batched_places / self.batches if self.batches else 0.0
         )
+        mean_window = self.window_ops / self.windows if self.windows else 0.0
         return {
             "requests": self.requests,
             "places": self.places,
             "removes": self.removes,
             "protocol_errors": self.protocol_errors,
+            "windows": self.windows,
+            "mean_window": mean_window,
             "batches": self.batches,
             "batched_places": self.batched_places,
             "largest_batch": self.largest_batch,
             "mean_batch": mean_batch,
             "max_batch": self.config.max_batch,
-            "max_delay": self.config.max_delay,
         }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import functools
 import gc
 import json
 import logging
@@ -44,6 +45,38 @@ async def with_server(body, config=None):
         return await body(server)
     finally:
         await server.stop()
+
+
+async def until(predicate, timeout=10.0):
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, "timed out"
+        await asyncio.sleep(0.001)
+
+
+async def fire_in_order(server, calls):
+    """Run ``calls`` (client coroutine factories) with a known arrival order.
+
+    The pool thread is held on a gate while the requests go out one at a
+    time, each reaching the server queue before the next is sent.  The
+    first request is taken as a window of its own; the rest wait in the
+    queue and are served, once the gate opens, as windows of up to
+    ``max_batch`` requests.  Returns each call's result or exception.
+    """
+    gate = threading.Event()
+    server._pool_executor.submit(gate.wait)
+    tasks = []
+    try:
+        for position, call in enumerate(calls):
+            arrived = server.requests + 1
+            tasks.append(asyncio.ensure_future(call()))
+            await until(
+                lambda: server.requests == arrived
+                and (position > 0 or server._queue.empty())
+            )
+    finally:
+        gate.set()
+    return await asyncio.gather(*tasks, return_exceptions=True)
 
 
 class TestProtocol:
@@ -117,7 +150,7 @@ class TestServer:
             assert stats["mean_batch"] > 1.0
 
         run(with_server(body, ServeConfig(
-            n_shards=2, mode="thread", max_batch=64, max_delay=0.02,
+            n_shards=2, mode="thread", max_batch=64,
         )))
 
     def test_server_stream_matches_inprocess_pool(self):
@@ -157,7 +190,7 @@ class TestServer:
 
         run(with_server(body))
 
-    def test_pool_errors_become_error_responses(self):
+    def test_pool_errors_become_error_responses(self, tmp_path):
         async def body(server):
             client = await ServeClient.connect("127.0.0.1", server.port)
             try:
@@ -166,6 +199,12 @@ class TestServer:
                 await client.place("dup")
                 with pytest.raises(ServeError, match="already"):
                     await client.place("dup")
+                with pytest.raises(ServeError, match="No such file"):
+                    await asyncio.wait_for(
+                        client.snapshot(str(tmp_path / "missing" / "m.json")),
+                        timeout=10,
+                    )
+                await client.place("after")  # the server still serves
             finally:
                 await client.close()
 
@@ -279,10 +318,124 @@ class TestServer:
             AllocationServer()
         with pytest.raises(ValueError, match="max_batch"):
             ServeConfig(max_batch=0)
-        with pytest.raises(ValueError, match="max_delay"):
-            ServeConfig(max_delay=-1)
         with pytest.raises(RuntimeError, match="not been started"):
             AllocationServer(SPEC).port
+
+
+class TestServeWindows:
+    """Self-clocked ordered windows: grouping never changes an answer."""
+
+    def test_mixed_stream_equals_one_by_one_pool(self, tmp_path):
+        path = str(tmp_path / "mid.manifest.json")
+        # (connection, op, argument); connections alternate, so the
+        # server reads the stream from two pipelined sockets.
+        stream = [
+            (0, "place", "a"),       # the first window, alone
+            (1, "place", "b"),       # second window: ops 1..8
+            (0, "place", None),
+            (1, "place", None),
+            (0, "remove", "a"),      # placed in an earlier window
+            (1, "place", "c"),
+            (0, "remove", "c"),      # placed in this window
+            (1, "place_batch", 5),
+            (0, "place", "d"),
+            (1, "snapshot", path),   # third window: ops 9..16
+            (0, "place", None),
+            (1, "place", "e"),
+            (0, "remove", "b"),
+            (1, "place", "a"),       # the removed id, placed again
+            (0, "remove", "d"),
+            (1, "place", None),
+            (0, "place", "f"),
+            (1, "remove", "e"),      # fourth window: op 17
+        ]
+
+        async def body(server):
+            clients = [
+                await ServeClient.connect("127.0.0.1", server.port)
+                for _ in range(2)
+            ]
+            try:
+                answers = await fire_in_order(server, [
+                    functools.partial(getattr(clients[conn], op), arg)
+                    for conn, op, arg in stream
+                ])
+                stats = await clients[0].stats()
+            finally:
+                for client in clients:
+                    await client.close()
+            return answers, stats
+
+        answers, stats = run(with_server(body, ServeConfig(
+            n_shards=2, mode="thread", max_batch=8,
+        )))
+        assert stats["server"]["windows"] == 4
+        assert stats["server"]["mean_window"] == len(stream) / 4
+        with open(path, encoding="utf-8") as handle:
+            served_manifest = json.load(handle)
+        with ShardPool(SPEC, 2, mode="thread") as pool:
+            for (_, op, arg), answer in zip(stream, answers):
+                if op == "place":
+                    assert answer == pool.place(arg)
+                elif op == "remove":
+                    assert answer == pool.remove(arg)
+                elif op == "place_batch":
+                    shards, bins = pool.place_batch(arg)
+                    assert answer == (shards.tolist(), bins.tolist())
+                else:
+                    assert (answer["path"], answer["shards"]) == (path, 2)
+                    # Shard digests (they leave out wall-clock telemetry),
+                    # router state and item map alike.
+                    expected = pool.snapshot()
+                    for manifest in (served_manifest, expected):
+                        manifest["shards"] = [
+                            shard["digest"] for shard in manifest["shards"]
+                        ]
+                    assert served_manifest == json.loads(json.dumps(expected))
+            assert stats["pool"] == json.loads(json.dumps(pool.summary()))
+
+    def test_failed_op_fails_only_its_request(self):
+        async def body(server):
+            client = await ServeClient.connect("127.0.0.1", server.port)
+            try:
+                answers = await fire_in_order(server, [
+                    lambda: client.place("x"),
+                    lambda: client.place("y"),
+                    lambda: client.remove("ghost"),
+                    lambda: client.place(),
+                    lambda: client.remove("x"),
+                ])
+            finally:
+                await client.close()
+            assert server.windows == 2  # everything after "x" shared one
+            return answers
+
+        x, y, ghost, untracked, removed = run(with_server(body))
+        assert isinstance(ghost, ServeError) and "unknown item" in str(ghost)
+        for answer in (x, y, untracked):
+            assert isinstance(answer, tuple) and len(answer) == 2
+        assert removed == x
+
+    def test_untracked_places_beside_a_tracked_one_stay_untracked(self):
+        async def body(server):
+            client = await ServeClient.connect("127.0.0.1", server.port)
+            try:
+                answers = await fire_in_order(
+                    server,
+                    [lambda: client.place()]
+                    + [lambda: client.place("a")]
+                    + [lambda: client.place()] * 5,
+                )
+                items = server.pool.items()
+                # No id is reserved: a client may use any string.
+                await client.place("__serve_auto_1")
+            finally:
+                await client.close()
+            return answers, items
+
+        answers, items = run(with_server(body))
+        assert items == {"a": answers[1][0]}
+        assert not any(isinstance(answer, Exception) for answer in answers)
 
 
 class TestBlockingClient:
@@ -333,6 +486,7 @@ class TestLoadgen:
             # The dict and text renderings carry the same numbers.
             assert report.to_dict()["places"] == 400
             assert f"{report.places} places" in report.format_text()
+            assert f"windows={report.server['windows']}," in report.format_text()
 
         run(with_server(body))
 

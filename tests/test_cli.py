@@ -346,7 +346,13 @@ class TestServeLoadgenCommands:
         assert args.router == "two_choice"
         assert args.mode == "process"
         assert args.port == 0
-        assert args.max_delay_ms == 2.0
+
+    def test_retired_max_delay_flag_is_unrecognized(self, capsys):
+        # Serve windows are self-clocked; there is no window timer to set.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--scheme", "kd_choice", "--max-delay-ms", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --max-delay-ms 2" in capsys.readouterr().err
 
     def test_serve_requires_scheme_xor_restore(self, capsys):
         with pytest.raises(SystemExit, match="exactly one"):
