@@ -13,10 +13,10 @@ core), ``bench_serve.py`` and ``bench_substrates.py``::
       "series":    {"<name>": {... "*items_per_sec": <rate> ...}}
     }
 
-``repro bench --compare`` flattens every numeric ``*items_per_sec`` leaf to
-a dotted ``series.<name>.<rate>`` path and compares the paths two snapshots
-share.  Each file holds only its own series; the run-to-run trajectory
-lives in the uploaded CI artifacts, not inside the snapshots.
+Each file holds only its own series.  No snapshot is committed: the
+run-to-run trajectory lives in the uploaded CI artifacts, and cross-run
+comparison is ``perfbench/run.py --compare``, which refuses records taken
+on different machines, software or sizes.
 """
 
 from __future__ import annotations

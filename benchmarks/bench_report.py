@@ -19,8 +19,9 @@ ratios CI floors ride on.
 
 Both write ``scheme -> items/sec`` lines into the ``series`` section of
 the shared version-2 envelope (see :mod:`bench_envelope`) that CI uploads
-and gates with ``repro bench --compare`` against the committed snapshot
-of the same artifact.
+as the run-to-run trajectory.  For ``core``, ``--compiled-floor`` fails
+the run when the compiled tier falls below the floor over vectorized on
+the floor anchors.
 
 Usage::
 

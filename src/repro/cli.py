@@ -60,7 +60,6 @@ from __future__ import annotations
 import argparse
 import ast
 import json
-import math
 import os
 import re
 import sys
@@ -285,22 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--validate", type=str, default=None, metavar="FILE",
         help="validate a repro-topology JSON document (schema, cost "
         "monotonicity, zone/rack shape) and print its summary",
-    )
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="Compare two BENCH_*.json throughput snapshots (CI regression "
-        "gate)",
-    )
-    bench.add_argument(
-        "--compare", nargs=2, required=True, metavar=("OLD", "NEW"),
-        help="baseline and candidate snapshot files; every shared "
-        "*items_per_sec series is compared",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=0.10, metavar="FRACTION",
-        help="allowed throughput drop before a series counts as a "
-        "regression (default 0.10 = 10%%)",
     )
 
     simulate_cmd = subparsers.add_parser(
@@ -1100,105 +1083,6 @@ def _run_loadgen(args: argparse.Namespace) -> None:
         print(report.format_text())
 
 
-def _collect_rates(payload: object, prefix: str = "") -> Dict[str, float]:
-    """Flatten every numeric ``*items_per_sec`` entry to ``dotted.path -> rate``."""
-    rates: Dict[str, float] = {}
-    if isinstance(payload, dict):
-        for key in sorted(payload):
-            value = payload[key]
-            path = f"{prefix}.{key}" if prefix else str(key)
-            if key.endswith("items_per_sec") and isinstance(value, (int, float)):
-                rates[path] = float(value)
-            else:
-                rates.update(_collect_rates(value, path))
-    return rates
-
-
-def _run_bench_compare(args: argparse.Namespace) -> None:
-    old_path, new_path = args.compare
-    snapshots = []
-    for path in (old_path, new_path):
-        try:
-            with open(path, encoding="utf-8") as handle:
-                snapshots.append(json.load(handle))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SystemExit(f"error: cannot read snapshot {path}: {exc}") from None
-    old, new = snapshots
-
-    old_cpus, new_cpus = old.get("cpus"), new.get("cpus")
-    if old_cpus is not None and new_cpus is not None and old_cpus != new_cpus:
-        # Different machines: throughput deltas say nothing about the code.
-        print(
-            f"warning: snapshots were taken on different machines "
-            f"({old_path}: {old_cpus} CPUs, {new_path}: {new_cpus} CPUs); "
-            f"skipping the regression comparison"
-        )
-        return
-
-    old_rates = _collect_rates(old)
-    new_rates = _collect_rates(new)
-    shared = sorted(set(old_rates) & set(new_rates))
-    if not shared:
-        raise SystemExit(
-            f"error: {old_path} and {new_path} share no *items_per_sec "
-            f"series; nothing to compare"
-        )
-
-    regressions: List[str] = []
-    anomalies: List[str] = []
-    width = max(len(series) for series in shared)
-    for series in shared:
-        before, after = old_rates[series], new_rates[series]
-        if not math.isfinite(before) or before <= 0.0 or not math.isfinite(after):
-            # A zero, negative or NaN rate is a broken snapshot (a crashed
-            # bench run, a hand-edited file), not a throughput measurement;
-            # reporting it as a +0.0% pass would let a fabricated baseline
-            # slip through the gate.
-            anomalies.append(series)
-            print(
-                f"{series:<{width}}  {before:>12,.0f}/s -> {after:>12,.0f}/s  "
-                f"ANOMALY (rate is zero, negative or non-finite)"
-            )
-            continue
-        change = (after - before) / before
-        marker = ""
-        if after < before * (1.0 - args.tolerance):
-            marker = "  REGRESSION"
-            regressions.append(series)
-        print(
-            f"{series:<{width}}  {before:>12,.0f}/s -> {after:>12,.0f}/s  "
-            f"({change:+.1%}){marker}"
-        )
-    only = sorted(set(old_rates) ^ set(new_rates))
-    if only:
-        print(f"not compared (present in one snapshot only): {', '.join(only)}")
-    failures: List[str] = []
-    if regressions:
-        failures.append(
-            f"{len(regressions)} series regressed more than "
-            f"{args.tolerance:.0%}: {', '.join(regressions)}"
-        )
-    if anomalies:
-        if args.tolerance >= 1.0:
-            # An explicit tolerance of 100%+ says "report, don't gate";
-            # anomalies stay visible above but do not fail the run.
-            print(
-                f"warning: {len(anomalies)} series with unusable rates "
-                f"ignored at --tolerance >= 100%: {', '.join(anomalies)}"
-            )
-        else:
-            failures.append(
-                f"{len(anomalies)} series carry an unusable rate "
-                f"(zero, negative or non-finite): {', '.join(anomalies)}"
-            )
-    if failures:
-        raise SystemExit("; ".join(failures))
-    print(
-        f"{len(shared) - len(anomalies)} series within {args.tolerance:.0%} "
-        f"of {old_path}"
-    )
-
-
 def _run_schemes(args: argparse.Namespace) -> None:
     if args.check:
         from .api import lint_registry
@@ -1317,8 +1201,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _run_workloads(args)
     elif args.command == "topology":
         _run_topology(args)
-    elif args.command == "bench":
-        _run_bench_compare(args)
     elif args.command == "simulate":
         _run_simulate(args)
     elif args.command == "stream":

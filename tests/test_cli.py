@@ -32,6 +32,13 @@ class TestParser:
             args = parser.parse_args([command] if command != "table1" else ["table1"])
             assert args.command == command or command == "table1"
 
+    def test_retired_bench_command_is_an_invalid_choice(self, capsys):
+        # Cross-run throughput comparison lives in perfbench/run.py --compare.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--compare", "a.json", "b.json"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
 
 class TestMainCommands:
     def test_table1_small(self, capsys):
