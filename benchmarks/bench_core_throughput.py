@@ -6,9 +6,9 @@ inner loop and the vectorized single-choice baseline so performance
 regressions in the substrate are visible.
 
 The ``TestFamilySpeedups`` class asserts the vectorized-engine contract for
-the newly covered scheme families (weighted, stale, dynamic churn and the
-adaptive comparators must each run >= 3x faster than their scalar
-reference), and ``test_streaming_mode_memory_and_throughput`` pins the
+the newly covered scheme families (weighted, stale, dynamic churn, the
+adaptive comparators and the topology schemes must each run >= 3x faster
+than their scalar reference), and ``test_streaming_mode_memory_and_throughput`` pins the
 chunked/streaming memory bound that makes n >= 10^7 runs practical.
 """
 
@@ -30,6 +30,7 @@ from repro.core.dynamic import run_churn_kd_choice
 from repro.core.process import run_kd_choice
 from repro.core.stale import run_stale_kd_choice
 from repro.core.weighted import run_weighted_kd_choice
+from repro.topology.schemes import run_hierarchical_go_left, run_locality_two_choice
 
 MICRO_N = 1 << 14
 
@@ -196,6 +197,26 @@ class TestFamilySpeedups:
             "threshold_adaptive",
             lambda: run_threshold_adaptive(2 * ENGINE_N, seed=0),
             lambda: _vectorized("threshold_adaptive")(n_bins=2 * ENGINE_N, seed=0),
+            minimum=3.0,
+        )
+
+    @pytest.mark.parametrize(
+        "scheme,scalar,params",
+        [
+            (
+                "locality_two_choice",
+                run_locality_two_choice,
+                {"topology": "dual_zone", "bias": 0.5, "threshold": 1},
+            ),
+            ("hierarchical_always_go_left", run_hierarchical_go_left, {"d": 4}),
+        ],
+    )
+    def test_topology_family_speedup(self, benchmark, scheme, scalar, params):
+        self._assert_family(
+            benchmark,
+            scheme,
+            lambda: scalar(n_bins=ENGINE_N, seed=0, **params),
+            lambda: _vectorized(scheme)(n_bins=ENGINE_N, seed=0, **params),
             minimum=3.0,
         )
 

@@ -21,31 +21,38 @@ once.  These primitives make batching exact:
     produce, duplicated samples included.
 
 ``conflict_free_prefix``
-    The speculate-and-truncate primitive for the (k, d) rounds: given every
-    row's provisional destinations against the current loads, the length of
-    the leading run of rows whose destinations no earlier row of the run
-    writes (a first-writer scatter into a :class:`ConflictScratch`).  Those
-    rows are exact; the caller applies them and re-speculates from the first
+    The speculate-and-truncate primitive: given every row's provisional
+    destinations against the current loads, the length of the leading run
+    of rows whose destinations no earlier row of the run writes (a
+    first-writer scatter into a :class:`ConflictScratch`).  Those rows are
+    exact; the caller applies them and re-speculates from the first
     conflicting row, so nothing is ever replayed through a scalar kernel.
+    It serves the (k, d) family (``kd._select_rounds``) and the locality,
+    hierarchical, threshold and weighted kernels
+    (``base.speculate_balls``, ``weighted._weighted_rounds``): each picks a
+    minimum over a fixed preference order of loads that only grow, so a
+    row whose destinations nobody wrote keeps them.
 
 ``prefix_conflicts``
-    The speculate-verify primitive for genuinely sequential processes.  The
-    engine first computes every row's *provisional* outcome against the
-    batch-start loads, then asks which rows might have read a bin written by
-    an **earlier** row of the batch.  Rows marked clean are guaranteed to
+    The older speculate-verify primitive, kept for the three kernels that
+    anchor the compiled-floor gate (one_plus_beta, always_go_left and
+    two_phase_adaptive): moving them onto ``conflict_free_prefix`` would
+    speed up their vectorized engines enough to push their
+    compiled/vectorized ratios under the CI floor of 3x.  The engine first
+    computes every row's *provisional* outcome against the batch-start
+    loads, then asks which rows might have read a bin written by an
+    **earlier** row of the batch.  Rows marked clean are guaranteed to
     have the same outcome as in the sequential replay; the (rare) suspect
-    rows are re-executed through the scalar kernel in row order.
+    rows are re-executed through the scalar kernel in row order
+    (:func:`clean_segments` walks them).
 
-    Soundness rests on two facts that hold for every engine in this
-    repository: a row's destination bins are always a subset of its sampled
-    bins, and placements only ever *add* load.  The detector therefore uses
-    each clean row's provisional destinations and each suspect row's full
-    sample set as its (conservative) write set, and iterates to a fixpoint.
-
-    A useful corollary: the destinations of the clean rows of a batch are
-    pairwise distinct (a later clean row reading an earlier clean row's
-    destination would have been marked suspect), so clean placements can be
-    applied with one fancy-indexed add — no ``np.add.at`` needed.
+    Soundness rests on two facts: a row's destination bins are always a
+    subset of its sampled bins, and placements only ever *add* load.  The
+    detector therefore uses each clean row's provisional destinations and
+    each suspect row's full sample set as its (conservative) write set,
+    and iterates to a fixpoint.  The destinations of the clean rows of a
+    batch are pairwise distinct, so clean placements can be applied with
+    one fancy-indexed add — no ``np.add.at`` needed.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ from .base import (
     CALLABLE_THRESHOLD_REASON,
     OnlineStepper,
     StreamExhausted,
-    independent_batch_rounds,
     run_to_completion,
     speculative_batch_rows,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "OnlineStepper",
     "StreamExhausted",
     "run_to_completion",
-    "independent_batch_rounds",
     "speculative_batch_rows",
     "CALLABLE_THRESHOLD_REASON",
     "KDChoiceStepper",

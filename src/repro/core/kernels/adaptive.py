@@ -8,9 +8,13 @@ primary-probe block then the ``(batch, retry_probes)`` fallback block.
 Per-unit apply: one ball through the scalar
 :func:`~repro.core.adaptive.threshold_place` /
 :func:`~repro.core.adaptive.two_phase_place` kernels (callable thresholds
-evaluate per ball here).  Batched apply: speculate-verify sub-batches; a
-callable threshold has no batched apply (its evaluation order is inherently
-per-ball), so only the per-unit path serves it.
+evaluate per ball here).  Batched apply: threshold probing speculates and
+truncates (:func:`~repro.core.kernels.base.speculate_balls`); two-phase
+keeps the speculate-verify sub-batches of
+:func:`~repro.core.batched.prefix_conflicts` (see
+:mod:`repro.core.batched` for why).  A callable threshold has no batched
+apply (its evaluation order is inherently per-ball), so only the per-unit
+path serves it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,12 @@ from ..adaptive import threshold_place, two_phase_place
 from ..baselines import _CHUNK as _BALL_CHUNK
 from ..baselines import _make_rng
 from ..batched import ConflictScratch, clean_segments, prefix_conflicts
-from .base import OnlineStepper, speculative_batch_rows
+from .base import (
+    OnlineStepper,
+    speculate_balls,
+    speculation_window,
+    speculative_batch_rows,
+)
 
 __all__ = ["ThresholdAdaptiveStepper", "TwoPhaseAdaptiveStepper"]
 
@@ -81,7 +90,7 @@ class ThresholdAdaptiveStepper(OnlineStepper):
         self._pos = 0
         self._balls_drawn = 0
         self._scratch = ConflictScratch(n_bins)
-        self._sub_rows = speculative_batch_rows(n_bins, max_probes)
+        self._window = speculation_window(n_bins, 1, max_probes)
         self._probe_columns = np.arange(max_probes)
 
     @property
@@ -134,88 +143,62 @@ class ThresholdAdaptiveStepper(OnlineStepper):
         if self._probes is None or self._pos >= len(self._probes):
             self._refill()
         take = min(max_balls, len(self._probes) - self._pos)
+        rows_block = self._probes[self._pos : self._pos + take]
+        if self._threshold_mode == "fixed":
+            limits = np.full(take, self._fixed_limit, dtype=np.int64)
+        else:
+            ball_index = self.balls_emitted + np.arange(take)
+            limits = np.ceil(ball_index / self.n_bins).astype(np.int64) + 1
         if self.kernel_mode == "compiled":
             from repro.core import compiled
 
-            rows = self._probes[self._pos : self._pos + take]
-            if self._threshold_mode == "fixed":
-                limits = np.full(take, self._fixed_limit, dtype=np.int64)
-            else:
-                ball_index = self.balls_emitted + np.arange(take)
-                limits = np.ceil(ball_index / self.n_bins).astype(np.int64) + 1
-            out, used = compiled.threshold(self.loads, rows, limits)
-            for count, balls in zip(*np.unique(used, return_counts=True)):
-                count = int(count)
-                self.probe_histogram[count] = (
-                    self.probe_histogram.get(count, 0) + int(balls)
-                )
-            self.messages += int(used.sum())
-            self._pos += take
-            self.balls_emitted += take
-            return out
-        out = np.empty(take, dtype=np.int64)
-        done = 0
-        while done < take:
-            stop = min(done + self._sub_rows, take)
-            rows = self._probes[self._pos + done : self._pos + stop]
-            size = len(rows)
-            if self._threshold_mode == "fixed":
-                limits = np.full(size, self._fixed_limit, dtype=np.int64)
-            else:
-                ball_index = self.balls_emitted + done + np.arange(size)
-                limits = np.ceil(ball_index / self.n_bins).astype(np.int64) + 1
-            # Fast path: most balls commit on their first probe, so the deep
-            # (full-width) computation runs only on the rows that miss.
-            first_loads = self.loads[rows[:, 0]]
-            destinations = rows[:, 0].copy()
-            used = np.ones(size, dtype=np.int64)
-            deep = np.flatnonzero(first_loads > limits)
-            if deep.size:
-                deep_rows = rows[deep]
-                deep_loads = self.loads[deep_rows]
-                meets = deep_loads <= limits[deep][:, None]
-                any_hit = meets.any(axis=1)
-                deep_used = np.where(
-                    any_hit, np.argmax(meets, axis=1) + 1, self.max_probes
-                )
-                # Destination: earliest minimum among the probes examined.
-                masked = np.where(
-                    self._probe_columns < deep_used[:, None],
-                    deep_loads,
-                    np.iinfo(np.int64).max,
-                )
-                columns = np.argmin(masked, axis=1)
-                used[deep] = deep_used
-                destinations[deep] = deep_rows[np.arange(deep.size), columns]
-            # Reads: the examined prefix, padded with the row's destination.
-            width = int(used.max())
-            reads = np.where(
-                self._probe_columns[:width] < used[:, None],
-                rows[:, :width],
-                destinations[:, None],
-            )
-            suspect = prefix_conflicts(
-                reads, destinations, self._scratch, expanded=rows
-            )
-            for seg_start, seg_stop, suspect_index in clean_segments(suspect):
-                self.loads[destinations[seg_start:seg_stop]] += 1
-                if suspect_index >= 0:
-                    best_bin, used_replay = threshold_place(
-                        self.loads,
-                        rows[suspect_index].tolist(),
-                        int(limits[suspect_index]),
+            out, used = compiled.threshold(self.loads, rows_block, limits)
+        else:
+            out = np.empty(take, dtype=np.int64)
+            used = np.empty(take, dtype=np.int64)
+
+            def choose(start: int, stop: int) -> np.ndarray:
+                # The probes examined before a destination sit over the
+                # limit and stay over it (loads only grow, limits follow
+                # the ball index), and the destination either meets the
+                # limit or is the earliest minimum of a full miss.  So a
+                # destination no earlier ball writes is still chosen after
+                # the same number of probes.
+                rows = rows_block[start:stop]
+                row_limits = limits[start:stop]
+                # Most balls commit on their first probe, so the full-width
+                # computation runs only on the rows that miss.
+                destinations = rows[:, 0].copy()
+                row_used = used[start:stop]
+                row_used[:] = 1
+                deep = np.flatnonzero(self.loads[destinations] > row_limits)
+                if deep.size:
+                    deep_rows = rows[deep]
+                    deep_loads = self.loads[deep_rows]
+                    meets = deep_loads <= row_limits[deep][:, None]
+                    deep_used = np.where(
+                        meets.any(axis=1),
+                        np.argmax(meets, axis=1) + 1,
+                        self.max_probes,
                     )
-                    self.loads[best_bin] += 1
-                    used[suspect_index] = used_replay
-                    destinations[suspect_index] = best_bin
-            for count, balls in zip(*np.unique(used, return_counts=True)):
-                count = int(count)
-                self.probe_histogram[count] = (
-                    self.probe_histogram.get(count, 0) + int(balls)
-                )
-            self.messages += int(used.sum())
-            out[done:stop] = destinations
-            done = stop
+                    # Earliest minimum among the probes examined.
+                    masked = np.where(
+                        self._probe_columns < deep_used[:, None],
+                        deep_loads,
+                        np.iinfo(np.int64).max,
+                    )
+                    columns = np.argmin(masked, axis=1)
+                    row_used[deep] = deep_used
+                    destinations[deep] = deep_rows[np.arange(deep.size), columns]
+                return destinations
+
+            speculate_balls(self.loads, take, self._window, self._scratch, choose, out)
+        for count, balls in zip(*np.unique(used, return_counts=True)):
+            count = int(count)
+            self.probe_histogram[count] = (
+                self.probe_histogram.get(count, 0) + int(balls)
+            )
+        self.messages += int(used.sum())
         self._pos += take
         self.balls_emitted += take
         return out

@@ -43,26 +43,30 @@ on:
   engine from it; because the stepper consumes the same RNG blocks as the
   scalar reference, the derived engine is seed-for-seed identical to it.
 
-* The batch-sizing heuristics (:func:`independent_batch_rounds`,
-  :func:`speculative_batch_rows`) of the topology and per-ball batched
-  applies; the (k, d) family sizes its windows itself.
+* :func:`speculate_balls`, the speculate-and-truncate loop of the one-ball
+  batched applies (locality, hierarchical, threshold), and the window
+  sizes: :func:`speculation_window` for every speculate-and-truncate
+  kernel (these, weighted and the (k, d) family), and
+  :func:`speculative_batch_rows` for the three speculate-verify kernels
+  that anchor the compiled-floor gate (see :mod:`repro.core.batched`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..baselines import _CHUNK as _BALL_CHUNK
-from ..process import _DEFAULT_CHUNK_ROUNDS as _CHUNK_ROUNDS
+from ..batched import ConflictScratch, conflict_free_prefix
 from ..types import AllocationResult
 
 __all__ = [
     "StreamExhausted",
     "OnlineStepper",
     "run_to_completion",
-    "independent_batch_rounds",
+    "speculate_balls",
+    "speculation_window",
     "speculative_batch_rows",
     "normalize_capacities",
     "CALLABLE_THRESHOLD_REASON",
@@ -86,21 +90,60 @@ def _require_strict(policy: "str | object") -> None:
         )
 
 
-def independent_batch_rounds(n_bins: int, d: int) -> int:
-    """Batch size that keeps the expected conflict fraction small.
+#: Smallest speculation window (tiny or crowded tables still key a few rows
+#: per step; the truncation keeps them exact).
+_MIN_WINDOW = 8
+#: Most slots one speculation window keys, which bounds its temporaries.
+_WINDOW_SLOTS = 1 << 15
 
-    A round conflicts when one of its ``d`` samples collides with any of the
-    other ``(B - 1) d`` samples of its batch (or repeats within the round),
-    which happens with probability ~``B d^2 / n``.  The batch size balances
-    that Python-fallback cost against the fixed per-batch NumPy overhead.
-    Its one user is the topology kernel's ``_locality_batch``; the (k, d)
-    family speculates and truncates instead (``kd.speculation_window``).
+
+def speculation_window(n_bins: int, k: int, d: int) -> int:
+    """Rows keyed per speculate-and-truncate step.
+
+    Row ``i`` of a window keeps ``k`` bins after ``i * k`` provisional
+    writes, so it conflicts with probability ~``i k^2 / n``, and the first
+    conflict lands near row ``sqrt(2 n) / k``.  Rows past it are keyed in
+    vain, so a wider window only adds work.  At most :data:`_WINDOW_SLOTS`
+    slots (``d`` per row) are keyed at once.
     """
-    return max(8, min(_CHUNK_ROUNDS, int(n_bins // (12 * d * d)) or 8))
+    return max(_MIN_WINDOW, min(int((2 * n_bins) ** 0.5) // k, _WINDOW_SLOTS // d))
+
+
+def speculate_balls(
+    loads: np.ndarray,
+    count: int,
+    window: int,
+    scratch: ConflictScratch,
+    choose: Callable[[int, int], np.ndarray],
+    out: np.ndarray,
+) -> None:
+    """Place ``count`` one-ball rows exactly as ``count`` ``step()`` calls.
+
+    The one-ball form of ``kd._select_rounds``: ``choose(start, stop)``
+    returns the destinations of rows ``start:stop`` against the current
+    ``loads`` (writing any per-row side output at ``[start:stop]`` too);
+    the rows before the first one whose destination an earlier row of the
+    window takes (:func:`~repro.core.batched.conflict_free_prefix`) are
+    applied and written to ``out``, and the next window starts at that
+    row, so its side output is recomputed.
+
+    Exact for any rule whose choice is a minimum over a fixed preference
+    order of the loads it reads: loads only grow, so a row whose
+    destination no earlier row wrote still picks it (each caller checks
+    its rule).  The applied destinations are pairwise distinct, so one
+    fancy-indexed add places them.
+    """
+    start = 0
+    while start < count:
+        destinations = choose(start, min(start + window, count))
+        taken = conflict_free_prefix(destinations[:, None], scratch)
+        loads[destinations[:taken]] += 1
+        out[start : start + taken] = destinations[:taken]
+        start += taken
 
 
 def speculative_batch_rows(n_bins: int, width: int, replays: int = 12) -> int:
-    """Row count for the speculate-verify kernels.
+    """Row count for the speculate-verify kernels (the floor anchors).
 
     A row of ``width`` read bins conflicts with one of the ~``B/2`` earlier
     writes with probability ~``B * width / (2 n)``, so a batch replays

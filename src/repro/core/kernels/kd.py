@@ -27,27 +27,9 @@ from ..batched import ConflictScratch, conflict_free_prefix, strict_select_rows
 from ..policies import capacity_select, get_policy
 from ..process import _DEFAULT_CHUNK_ROUNDS
 from ..types import ProcessParams
-from .base import _PLACED, OnlineStepper, normalize_capacities
+from .base import _PLACED, OnlineStepper, normalize_capacities, speculation_window
 
 __all__ = ["KDChoiceStepper", "DChoiceStepper", "speculation_window"]
-
-#: Smallest speculation window (tiny or crowded tables still key a few rows
-#: per step; the truncation keeps them exact).
-_MIN_WINDOW = 8
-#: Most slots one speculation window keys, which bounds its temporaries.
-_WINDOW_SLOTS = 1 << 15
-
-
-def speculation_window(n_bins: int, k: int, d: int) -> int:
-    """Rounds keyed per speculation step of :func:`_select_rounds`.
-
-    Round ``i`` of a window keeps ``k`` bins after ``i * k`` provisional
-    writes, so it conflicts with probability ~``i k^2 / n``, and the first
-    conflict lands near round ``sqrt(2 n) / k``.  Rounds past it are keyed
-    in vain, so a wider window only adds work.  At most
-    :data:`_WINDOW_SLOTS` slots are keyed at once.
-    """
-    return max(_MIN_WINDOW, min(int((2 * n_bins) ** 0.5) // k, _WINDOW_SLOTS // d))
 
 
 def _select_rounds(

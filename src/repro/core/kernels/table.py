@@ -2,9 +2,10 @@
 
 Every allocation scheme registers a :class:`Kernel` here — its draw-block
 spec (the exact RNG blocks the scheme consumes, in order), its per-unit
-apply (an :class:`~repro.core.kernels.base.OnlineStepper` factory) and an
-optional batched apply riding :mod:`repro.core.batched`.  The engine
-surfaces are *derived* from that single registration:
+apply (an :class:`~repro.core.kernels.base.OnlineStepper` factory, whose
+``step_block`` is the batched apply; each kernel module's docstring names
+it) and its guards.  The engine surfaces are *derived* from that single
+registration:
 
 * the **online** surface is the stepper factory itself;
 * the **vectorized** and **compiled** surfaces are the ``"numpy"`` and
@@ -127,9 +128,7 @@ class Kernel:
 
     ``draw_blocks`` documents the exact RNG blocks the kernel consumes per
     unit/chunk/epoch — the contract that makes the scalar reference, the
-    stepper and the derived batch engine bit-identical.  ``batched`` names
-    the batched apply (``None`` when the batch engine is pure per-unit
-    drive).  The guards mirror the registry's two capability levels: a
+    stepper and the derived batch engine bit-identical.  The guards mirror the registry's two capability levels: a
     ``vectorized_guard`` failure means the batch engine cannot run those
     parameters at all; a ``fastpath_guard`` reason means it runs but brings
     no speedup, so engine auto-selection prefers the scalar reference.
@@ -154,7 +153,6 @@ class Kernel:
     draw_blocks: Tuple[str, ...]
     stepper: Optional[Callable[..., OnlineStepper]]
     vectorized: Optional[Callable[..., AllocationResult]] = None
-    batched: Optional[str] = None
     vectorized_guard: Optional[Callable[[Mapping[str, Any]], Optional[str]]] = None
     fastpath_guard: Optional[Callable[[Mapping[str, Any]], Optional[str]]] = None
     compiled: bool = False
@@ -196,7 +194,6 @@ KERNELS: Dict[str, Kernel] = {
             "tail: samples int(d), ties float(d)",
         ),
         stepper=KDChoiceStepper,
-        batched="speculate-and-truncate rounds (_select_rounds)",
         compiled=True,
     ),
     "serialized_kd_choice": Kernel(
@@ -219,7 +216,6 @@ KERNELS: Dict[str, Kernel] = {
             "tail: samples int(d), ties float(d)",
         ),
         stepper=WeightedKDChoiceStepper,
-        batched="speculate-verify rounds (_weighted_batch)",
         compiled=True,
     ),
     "stale_kd_choice": Kernel(
@@ -231,7 +227,6 @@ KERNELS: Dict[str, Kernel] = {
             "partial k == d tail: ties float(d)",
         ),
         stepper=StaleKDChoiceStepper,
-        batched="whole epochs on the aliased snapshot (strict_select_rows)",
         compiled=True,
     ),
     "greedy_kd_choice": Kernel(
@@ -255,7 +250,6 @@ KERNELS: Dict[str, Kernel] = {
         ),
         stepper=None,  # departures are global events, not a per-item stream
         vectorized=run_churn_allocation_vectorized,
-        batched="Fenwick-tree departures (_LoadIndex)",
     ),
     "single_choice": Kernel(
         name="single_choice",
@@ -263,14 +257,12 @@ KERNELS: Dict[str, Kernel] = {
         draw_blocks=("destinations int(n_balls) up front",),
         stepper=SingleChoiceStepper,
         vectorized=run_single_choice,  # the scalar runner is already batched
-        batched="np.add.at over the pre-drawn block",
     ),
     "d_choice": Kernel(
         name="d_choice",
         unit="ball (a 1-ball round)",
         draw_blocks=("the kd_choice blocks with k = 1",),
         stepper=DChoiceStepper,
-        batched="speculate-and-truncate rounds (_select_rounds)",
         compiled=True,
     ),
     "two_choice": Kernel(
@@ -278,7 +270,6 @@ KERNELS: Dict[str, Kernel] = {
         unit="ball (a 1-ball round)",
         draw_blocks=("the kd_choice blocks with k = 1, d = 2",),
         stepper=functools.partial(DChoiceStepper, d=2),
-        batched="speculate-and-truncate rounds (_select_rounds)",
         compiled=True,
     ),
     "one_plus_beta": Kernel(
@@ -289,7 +280,6 @@ KERNELS: Dict[str, Kernel] = {
             "second int(batch)",
         ),
         stepper=OnePlusBetaStepper,
-        batched="speculate-verify balls (prefix_conflicts)",
         compiled=True,
     ),
     "always_go_left": Kernel(
@@ -297,7 +287,6 @@ KERNELS: Dict[str, Kernel] = {
         unit="ball",
         draw_blocks=("per <=8192 balls: uniforms float(batch, d)",),
         stepper=AlwaysGoLeftStepper,
-        batched="speculate-verify balls (prefix_conflicts)",
         compiled=True,
     ),
     "batch_random": Kernel(
@@ -306,14 +295,12 @@ KERNELS: Dict[str, Kernel] = {
         draw_blocks=("destinations int(n_balls) up front",),
         stepper=batch_random_stepper,
         vectorized=run_batch_random,  # the scalar runner is already batched
-        batched="np.add.at over the pre-drawn block",
     ),
     "threshold_adaptive": Kernel(
         name="threshold_adaptive",
         unit="ball",
         draw_blocks=("per <=8192 balls: probes int(batch, max_probes)",),
         stepper=ThresholdAdaptiveStepper,
-        batched="speculate-verify balls; callable thresholds drive per-unit",
         fastpath_guard=_threshold_fastpath_guard,
         compiled=True,
         compiled_fastpath_guard=_threshold_fastpath_guard,
@@ -326,7 +313,6 @@ KERNELS: Dict[str, Kernel] = {
             "fallback int(batch, retry_probes)",
         ),
         stepper=TwoPhaseAdaptiveStepper,
-        batched="speculate-verify balls (prefix_conflicts)",
         compiled=True,
     ),
     "hierarchical_always_go_left": Kernel(
@@ -337,7 +323,6 @@ KERNELS: Dict[str, Kernel] = {
             "the topology's rack ranges",
         ),
         stepper=HierarchicalGoLeftStepper,
-        batched="speculate-verify balls (prefix_conflicts)",
     ),
     "locality_two_choice": Kernel(
         name="locality_two_choice",
@@ -347,6 +332,5 @@ KERNELS: Dict[str, Kernel] = {
             "ties float(d) per ball (the Bresenham remap draws nothing)",
         ),
         stepper=LocalityTwoChoiceStepper,
-        batched="independent-round batches (_locality_batch)",
     ),
 }

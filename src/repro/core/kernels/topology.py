@@ -9,10 +9,11 @@ scaled into the rack ranges; locality two-choice draws
 ``two_choice`` draws, because the Bresenham locality remap consumes no
 randomness.
 
-Per-unit apply: one ball.  Batched apply: speculate-verify sub-batches
-(hierarchical, via :func:`~repro.core.batched.prefix_conflicts`) and
-independent-round batches (locality: rounds sharing no bin with another
-round of the batch resolve vectorized, the rest replay).  Both steppers
+Per-unit apply: one ball.  Batched apply: speculate and truncate
+(:func:`~repro.core.kernels.base.speculate_balls`) — choose every ball of a
+window against the current loads, apply the balls before the first one
+whose destination an earlier ball of the window takes, and re-speculate
+from there; no ball replays through the scalar kernels.  Both steppers
 additionally tally local/zone/cross probe and placement counters
 (:attr:`zone_counters`), which are part of the snapshot state and feed
 the telemetry layer; the tallies are purely observational and never touch
@@ -29,19 +30,9 @@ from ...topology.records import Topology, as_topology, zone_counter_extra
 from ...topology.schemes import local_probe_slots, locality_select
 from ..baselines import _CHUNK as _BALL_CHUNK
 from ..baselines import _make_rng, least_loaded_probe
-from ..batched import (
-    ConflictScratch,
-    clean_segments,
-    prefix_conflicts,
-    stable_tiebreak_ranks,
-)
+from ..batched import ConflictScratch, stable_tiebreak_ranks
 from ..process import _DEFAULT_CHUNK_ROUNDS
-from .base import (
-    _PLACED,
-    OnlineStepper,
-    independent_batch_rounds,
-    speculative_batch_rows,
-)
+from .base import _PLACED, OnlineStepper, speculate_balls, speculation_window
 
 __all__ = ["HierarchicalGoLeftStepper", "LocalityTwoChoiceStepper"]
 
@@ -153,7 +144,7 @@ class HierarchicalGoLeftStepper(_ZoneCounterMixin, OnlineStepper):
         self._balls_drawn = 0
         self._init_zone_counters()
         self._scratch = ConflictScratch(n_bins)
-        self._sub_rows = speculative_batch_rows(n_bins, self.d, replays=6)
+        self._window = speculation_window(n_bins, 1, self.d)
 
     @property
     def rounds(self) -> int:
@@ -213,23 +204,16 @@ class HierarchicalGoLeftStepper(_ZoneCounterMixin, OnlineStepper):
         home_racks = self.topology.home_racks(indices)
         self._count_probe_block(rows_block, home_zones, home_racks)
         out = np.empty(take, dtype=np.int64)
-        done = 0
-        while done < take:
-            stop = min(done + self._sub_rows, take)
-            rows = rows_block[done:stop]
-            columns = np.argmin(self.loads[rows], axis=1)  # earliest min = left
-            destinations = rows[np.arange(len(rows)), columns]
-            suspect = prefix_conflicts(rows, destinations, self._scratch)
-            for seg_start, seg_stop, suspect_index in clean_segments(suspect):
-                self.loads[destinations[seg_start:seg_stop]] += 1
-                if suspect_index >= 0:
-                    chosen = least_loaded_probe(
-                        self.loads, rows[suspect_index].tolist()
-                    )
-                    self.loads[chosen] += 1
-                    destinations[suspect_index] = chosen
-            out[done:stop] = destinations
-            done = stop
+
+        def choose(start: int, stop: int) -> np.ndarray:
+            # The earliest minimum over one probe per rack (go left).  A
+            # destination no earlier ball writes keeps its load while every
+            # other probe's only grows, so it stays the earliest minimum.
+            rows = rows_block[start:stop]
+            columns = np.argmin(self.loads[rows], axis=1)
+            return rows[np.arange(len(rows)), columns]
+
+        speculate_balls(self.loads, take, self._window, self._scratch, choose, out)
         self._count_place_block(out, home_zones, home_racks)
         self._pos += take
         self.messages += take * self.d
@@ -299,7 +283,8 @@ class LocalityTwoChoiceStepper(_ZoneCounterMixin, OnlineStepper):
         self._buffer: Optional[np.ndarray] = None
         self._buffer_pos = 0
         self._init_zone_counters()
-        self._batch_rounds = min(chunk_rounds, independent_batch_rounds(n_bins, d))
+        self._scratch = ConflictScratch(n_bins)
+        self._window = speculation_window(n_bins, 1, d)
 
     result_policy = "locality"
 
@@ -382,84 +367,31 @@ class LocalityTwoChoiceStepper(_ZoneCounterMixin, OnlineStepper):
         home_racks = self.topology.home_racks(indices)
         mapped = self._remap(raw, indices, home_zones)
         self._count_probe_block(mapped, home_zones, home_racks)
-        out = np.empty(r, dtype=np.int64) if self._capture else None
+        # The threshold rule as one int64 key per probe, so every ball takes
+        # its smallest key: ``(2 * (height - threshold * local) + remote) * d
+        # + rank``.  Within one side the key orders probes by (height,
+        # tie-break) as the scalar lexsort does; across sides the best local
+        # probe wins iff its height is at most the best remote height plus
+        # ``threshold`` (the ``remote`` bit makes the local probe win that
+        # tie).  Single-zone probe sets reduce to the flat rule.  Keys grow
+        # with the loads, so a destination no earlier ball writes stays the
+        # smallest key.
+        local = self.topology.bin_zone[mapped] == home_zones[:, None]
+        offsets = np.where(local, -2 * self.threshold, 1) * np.int64(self.d)
+        offsets += stable_tiebreak_ranks(ties)
+        scale = np.int64(2 * self.d)
+
+        def choose(start: int, stop: int) -> np.ndarray:
+            rows = mapped[start:stop]
+            keys = self.loads[rows] * scale + offsets[start:stop]
+            return rows[np.arange(len(rows)), np.argmin(keys, axis=1)]
+
         destinations = np.empty(r, dtype=np.int64)
-        for start in range(0, r, self._batch_rounds):
-            stop = min(start + self._batch_rounds, r)
-            self._locality_batch(
-                mapped[start:stop],
-                ties[start:stop],
-                home_zones[start:stop],
-                destinations[start:stop],
-            )
+        speculate_balls(
+            self.loads, r, self._window, self._scratch, choose, destinations
+        )
         self._count_place_block(destinations, home_zones, home_racks)
-        if out is not None:
-            out[:] = destinations
         self.rounds += r
         self.messages += r * self.d
         self.balls_emitted += r
-        return out if self._capture else _PLACED
-
-    def _locality_batch(
-        self,
-        samples: np.ndarray,
-        ties: np.ndarray,
-        home_zones: np.ndarray,
-        destinations: np.ndarray,
-    ) -> None:
-        """One independent-round batch (a clean/dirty split).
-
-        Rounds whose bins are untouched by every other round in the batch
-        resolve vectorized (the threshold rule needs only each row's best
-        local and best remote key); the rest replay sequentially through
-        :func:`~repro.topology.schemes.locality_select`.  Clean bins
-        appear in no other row, so the two groups commute.
-        """
-        topo = self.topology
-        batch, d = samples.shape
-
-        flat = np.sort(samples, axis=None)
-        shared = flat[1:][flat[1:] == flat[:-1]]
-        if shared.size:
-            dirty = np.isin(samples, shared).any(axis=1)
-        else:
-            dirty = np.zeros(batch, dtype=bool)
-        clean = ~dirty
-
-        clean_rows = samples[clean]
-        if clean_rows.size:
-            heights = self.loads[clean_rows] + 1
-            ranks = stable_tiebreak_ranks(ties[clean])
-            keys = heights * np.int64(d) + ranks
-            local = topo.bin_zone[clean_rows] == home_zones[clean][:, None]
-            n_local = local.sum(axis=1)
-            choice = np.argmin(keys, axis=1)
-            mixed = (n_local > 0) & (n_local < d)
-            if mixed.any():
-                big = np.iinfo(np.int64).max
-                local_keys = np.where(local, keys, big)
-                remote_keys = np.where(local, big, keys)
-                best_local = np.argmin(local_keys, axis=1)
-                best_remote = np.argmin(remote_keys, axis=1)
-                local_height = np.take_along_axis(
-                    heights, best_local[:, None], axis=1
-                )[:, 0]
-                remote_height = np.take_along_axis(
-                    heights, best_remote[:, None], axis=1
-                )[:, 0]
-                pick_local = local_height <= remote_height + self.threshold
-                choice = np.where(
-                    mixed, np.where(pick_local, best_local, best_remote), choice
-                )
-            picked = clean_rows[np.arange(len(clean_rows)), choice]
-            destinations[clean] = picked
-            self.loads[picked] += 1  # all picked bins are distinct
-
-        for row_index in np.flatnonzero(dirty):
-            row = samples[row_index]
-            local_mask = topo.bin_zone[row] == home_zones[row_index]
-            chosen = locality_select(
-                self.loads, row, local_mask, self.threshold, ties[row_index]
-            )
-            destinations[row_index] = chosen
-            self.loads[chosen] += 1
+        return destinations if self._capture else _PLACED

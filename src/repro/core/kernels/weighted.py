@@ -8,7 +8,9 @@ then paired ``(chunk, d)`` sample and tie-break blocks per
 
 Per-unit apply: one round through the scalar
 :func:`~repro.core.weighted.weighted_round_apply` kernel.  Batched apply:
-speculate-verify rounds through :func:`_weighted_batch`.
+speculate and truncate through :func:`_weighted_rounds`, the loop
+``kd._select_rounds`` runs; only rounds that sample a bin twice go through
+the scalar round kernel, one at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from ..baselines import _make_rng
-from ..batched import ConflictScratch, clean_segments, prefix_conflicts
+from ..batched import ConflictScratch, conflict_free_prefix
 from ..process import _DEFAULT_CHUNK_ROUNDS
 from ..types import ProcessParams
 from ..weighted import (
@@ -28,17 +30,12 @@ from ..weighted import (
     weighted_extra,
     weighted_round_apply,
 )
-from .base import (
-    _PLACED,
-    OnlineStepper,
-    normalize_capacities,
-    speculative_batch_rows,
-)
+from .base import _PLACED, OnlineStepper, normalize_capacities, speculation_window
 
-__all__ = ["WeightedKDChoiceStepper", "_weighted_batch"]
+__all__ = ["WeightedKDChoiceStepper", "_weighted_rounds"]
 
 
-def _weighted_batch(
+def _weighted_rounds(
     loads: np.ndarray,
     counts: np.ndarray,
     samples: np.ndarray,
@@ -46,56 +43,67 @@ def _weighted_batch(
     batch_weights: np.ndarray,
     increments: np.ndarray,
     k: int,
+    window: int,
     scratch: ConflictScratch,
     out: Optional[np.ndarray] = None,
 ) -> None:
-    """Apply one batch of full weighted rounds to ``loads``/``counts``.
+    """Apply full weighted rounds to ``loads``/``counts`` in order, exactly
+    as successive :func:`~repro.core.weighted.weighted_round_apply` calls.
 
-    Provisional selections are computed row-wise against the batch-start
+    Speculate and truncate: select a window of rounds against the current
     loads — one ``(height, tiebreak, bin)`` lexsort plus a stable by-load
-    sort of the kept slots (the scalar round kernel's two list sorts) — and
-    validated with the prefix-conflict kernel; suspect rounds replay through
-    the scalar round kernel in order.  Rounds that sample a bin twice need
-    the multiplicity-stacked heights and are forced straight to the replay.
+    sort of the kept slots (the scalar round kernel's two list sorts) —
+    apply the rounds before the first one that keeps a bin an earlier round
+    of the window keeps (:func:`~repro.core.batched.conflict_free_prefix`),
+    and re-speculate from there.  Weights are non-negative
+    (:func:`~repro.core.weighted.make_weights` rejects negative ones), so
+    loads only grow: a round whose kept bins no earlier round wrote keeps
+    their heights while every other height only rises, so it keeps the same
+    bins, and the slot matching reads only those bins.  A round that
+    samples a bin twice needs the multiplicity-stacked heights, so the
+    window truncates before it and it runs alone through the scalar round
+    kernel.
 
-    ``out`` (a ``(B, k)`` int64 array) optionally receives each round's
+    ``out`` (a ``(R, k)`` int64 array) optionally receives each round's
     destination bins in ball order (heaviest ball first — the order the
     scalar kernel places them), for the streaming allocator.
     """
+    rounds = len(samples)
     row_sorted = np.sort(samples, axis=1)
-    internal_dup = (row_sorted[:, 1:] == row_sorted[:, :-1]).any(axis=1)
-
-    # Provisional selection (exact for duplicate-free rounds: every virtual
-    # ball has height loads[bin] + increment, a per-row constant shift that
-    # the lexsort ignores-by-including).
-    heights = loads[samples] + increments[:, None]
-    order = np.lexsort((samples, tiebreaks, heights), axis=-1)
-    kept = np.take_along_axis(samples, order[:, :k], axis=1)
-    # Heaviest ball to the least-loaded kept slot: a stable by-load sort of
-    # the slots, matched against the descending weights.
-    slot_order = np.argsort(loads[kept], axis=1, kind="stable")
-    slots = np.take_along_axis(kept, slot_order, axis=1)
-
-    suspect = prefix_conflicts(
-        samples, slots, scratch, expanded=samples, forced=internal_dup
-    )
-    if out is not None:
-        out[:] = slots  # clean rows only; suspect rows overwritten below
-    for seg_start, seg_stop, suspect_index in clean_segments(suspect):
-        seg_slots = slots[seg_start:seg_stop].ravel()
-        loads[seg_slots] += batch_weights[seg_start:seg_stop].ravel()
-        counts[seg_slots] += 1
-        if suspect_index >= 0:
+    repeats = np.flatnonzero((row_sorted[:, 1:] == row_sorted[:, :-1]).any(axis=1))
+    start = 0
+    for stop in [*repeats.tolist(), rounds]:
+        while start < stop:
+            end = min(start + window, stop)
+            rows = samples[start:end]
+            # Every virtual ball of a duplicate-free round has height
+            # loads[bin] + increment.
+            heights = loads[rows] + increments[start:end, None]
+            order = np.lexsort((rows, tiebreaks[start:end], heights), axis=-1)
+            kept = np.take_along_axis(rows, order[:, :k], axis=1)
+            # Heaviest ball to the least-loaded kept slot.
+            slot_order = np.argsort(loads[kept], axis=1, kind="stable")
+            slots = np.take_along_axis(kept, slot_order, axis=1)
+            taken = conflict_free_prefix(slots, scratch)
+            # The applied slots are pairwise distinct.
+            applied = slots[:taken].ravel()
+            loads[applied] += batch_weights[start : start + taken].ravel()
+            counts[applied] += 1
+            if out is not None:
+                out[start : start + taken] = slots[:taken]
+            start += taken
+        if stop < rounds:
             replayed = weighted_round_apply(
                 loads,
                 counts,
-                samples[suspect_index].tolist(),
-                tiebreaks[suspect_index],
-                batch_weights[suspect_index],
-                float(increments[suspect_index]),
+                samples[stop].tolist(),
+                tiebreaks[stop],
+                batch_weights[stop],
+                float(increments[stop]),
             )
             if out is not None:
-                out[suspect_index] = replayed
+                out[stop] = replayed
+            start = stop + 1
 
 
 class WeightedKDChoiceStepper(OnlineStepper):
@@ -105,9 +113,9 @@ class WeightedKDChoiceStepper(OnlineStepper):
     :func:`~repro.core.weighted.make_weights` before placing anything), so
     streamed items carry the spec's weights, not caller-supplied ones.
     Samples and tie-breaks are drawn in the scalar engine's paired
-    ``(chunk, d)`` blocks; ``step_block`` rides the speculate-verify weighted
-    batch kernel.  ``loads`` exposes ball counts (the unit-invariant view);
-    ``weighted_loads`` the per-bin total weight.
+    ``(chunk, d)`` blocks; ``step_block`` rides the speculate-and-truncate
+    weighted batch kernel.  ``loads`` exposes ball counts (the
+    unit-invariant view); ``weighted_loads`` the per-bin total weight.
     """
 
     _STATE_SCALARS = OnlineStepper._STATE_SCALARS + (
@@ -162,7 +170,7 @@ class WeightedKDChoiceStepper(OnlineStepper):
         self._buffer_pos = 0
         self._weight_pos = 0
         self._tail_done = False
-        self._batch_rounds = speculative_batch_rows(n_bins, k * d)
+        self._window = speculation_window(n_bins, k, d)
         self._scratch = ConflictScratch(n_bins)
 
     result_policy = "weighted-strict"
@@ -244,8 +252,8 @@ class WeightedKDChoiceStepper(OnlineStepper):
 
     def step_block(self, max_balls: int) -> Optional[np.ndarray]:
         if self._inv_capacity is not None:
-            # Fill-aware rounds are not modelled by the speculate-verify or
-            # compiled batch kernels; every engine takes the per-round path.
+            # Fill-aware rounds are not modelled by the speculate-and-truncate
+            # or compiled batch kernels; every engine takes the per-round path.
             return None
         rounds_wanted = min(max_balls // self.k, self.full_rounds - self.rounds)
         if rounds_wanted <= 0:
@@ -276,19 +284,18 @@ class WeightedKDChoiceStepper(OnlineStepper):
             )
         else:
             out = np.empty((r, self.k), dtype=np.int64) if self._capture else None
-            for start in range(0, r, self._batch_rounds):
-                stop = min(start + self._batch_rounds, r)
-                _weighted_batch(
-                    self.weighted_loads,
-                    self.loads,
-                    samples[start:stop],
-                    ties[start:stop],
-                    block_weights[start:stop],
-                    increments[start:stop],
-                    self.k,
-                    self._scratch,
-                    out=None if out is None else out[start:stop],
-                )
+            _weighted_rounds(
+                self.weighted_loads,
+                self.loads,
+                samples,
+                ties,
+                block_weights,
+                increments,
+                self.k,
+                self._window,
+                self._scratch,
+                out=out,
+            )
         self._weight_pos += r * self.k
         self.rounds += r
         self.messages += r * self.d

@@ -19,14 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from os import PathLike
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from ..api import ResultStore, SchemeSpec, simulate_trials
 from ..api.cache import as_result_store
 from ..core.types import AllocationResult
 from ..simulation.results import ResultTable
 from ..simulation.rng import SeedTree
-from ..simulation.runner import ExperimentOutcome, TrialOutcome
 
 __all__ = ["TradeoffPoint", "run_tradeoff", "tradeoff_table", "default_schemes"]
 
@@ -56,12 +55,6 @@ class TradeoffPoint:
     min_max_load: float
     max_max_load: float
     mean_messages_per_ball: float
-
-
-SchemeFactory = Callable[[int, int], AllocationResult]
-"""Legacy form: a callable ``(n, seed) -> AllocationResult``."""
-
-SchemeEntry = Union[SchemeSpec, SchemeFactory]
 
 
 def default_schemes(n: int) -> Dict[str, SchemeSpec]:
@@ -101,28 +94,23 @@ def run_tradeoff(
     n: int = 3 * 2 ** 13,
     trials: int = 3,
     seed: "int | None" = 0,
-    schemes: "Dict[str, SchemeEntry] | None" = None,
+    schemes: "Dict[str, SchemeSpec] | None" = None,
     n_jobs: Optional[int] = None,
     cache: "ResultStore | str | PathLike[str] | None" = None,
     engine: str = "auto",
 ) -> List[TradeoffPoint]:
     """Run every scheme ``trials`` times and collect (max load, messages).
 
-    ``schemes`` maps labels to :class:`~repro.api.SchemeSpec` objects
-    (preferred) or to legacy ``(n, seed) -> AllocationResult`` callables.
-    ``n_jobs``/``cache`` forward to :func:`repro.api.simulate_trials` for
-    spec entries (results are identical for every setting); legacy callables
-    always run serially and uncached.  ``engine`` overrides the execution
-    engine of every spec entry (also results-neutral: the engines are
+    ``schemes`` maps labels to :class:`~repro.api.SchemeSpec` objects.
+    ``n_jobs``/``cache`` forward to :func:`repro.api.simulate_trials`
+    (results are identical for every setting).  ``engine`` overrides the
+    execution engine of every entry (also results-neutral: the engines are
     seed-for-seed identical wherever both exist).
     """
     scheme_map = schemes if schemes is not None else default_schemes(n)
     if engine != "auto":
         scheme_map = {
-            name: replace(entry, engine=engine)
-            if isinstance(entry, SchemeSpec)
-            else entry
-            for name, entry in scheme_map.items()
+            name: replace(entry, engine=engine) for name, entry in scheme_map.items()
         }
     cache = as_result_store(cache)
     tree = SeedTree(seed)
@@ -131,28 +119,15 @@ def run_tradeoff(
     inner = SeedTree(tree.integer_seed())
     points: List[TradeoffPoint] = []
     for name, entry in scheme_map.items():
-        if isinstance(entry, SchemeSpec):
-            outcome = simulate_trials(
-                entry,
-                trials=trials,
-                seed_tree=inner,
-                metrics=_TRADEOFF_METRICS,
-                n_jobs=n_jobs,
-                cache=cache,
-            )
-            outcome.label = name
-        else:
-            outcome = ExperimentOutcome(label=name)
-            for trial_seed in inner.integer_seeds(trials):
-                result = entry(n, trial_seed)
-                outcome.trials.append(
-                    TrialOutcome(
-                        seed=trial_seed,
-                        metrics={
-                            key: fn(result) for key, fn in _TRADEOFF_METRICS.items()
-                        },
-                    )
-                )
+        outcome = simulate_trials(
+            entry,
+            trials=trials,
+            seed_tree=inner,
+            metrics=_TRADEOFF_METRICS,
+            n_jobs=n_jobs,
+            cache=cache,
+        )
+        outcome.label = name
         max_stats = outcome.statistics("max_load")
         msg_stats = outcome.statistics("messages_per_ball")
         points.append(

@@ -20,10 +20,6 @@ they inherit the execution layer for free: ``run(..., n_jobs=4)`` fans every
 point's trials out over a process pool and ``run(..., cache=...)`` skips
 trials already present in an on-disk :class:`~repro.api.cache.ResultStore`.
 Seeds are pre-derived from one shared tree, so neither knob changes results.
-
-The historical ``factory`` callable is still accepted for ad-hoc processes
-that are not registered as schemes; factory sweeps always run serially and
-uncached (an arbitrary closure can be neither pickled nor content-addressed).
 (The :mod:`repro.api` import happens lazily inside the run methods:
 ``repro.api`` itself builds on this package, and deferring the import keeps
 the layers acyclic.)
@@ -38,9 +34,8 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 
 from .rng import SeedTree
 
-from ..core.types import AllocationResult
 from .results import ResultTable
-from .runner import ExperimentOutcome, ExperimentRunner, MetricFunction
+from .runner import ExperimentOutcome, MetricFunction
 
 __all__ = ["SweepPoint", "ParameterSweep", "KDGridSweep"]
 
@@ -66,33 +61,24 @@ class ParameterSweep:
         Mapping from parameter name to the list of values to sweep.
     scheme:
         Name of a registered :mod:`repro.api` scheme; each grid point becomes
-        a :class:`~repro.api.SchemeSpec` with the point's parameters.  Either
-        ``scheme`` or ``factory`` must be given.
-    factory:
-        Legacy alternative: a callable ``(params, seed) -> AllocationResult``
-        building one run by hand.
+        a :class:`~repro.api.SchemeSpec` with the point's parameters.
     filter_fn:
         Optional predicate on the parameter dict; points that fail are
         skipped (used e.g. to enforce ``k <= d`` in grid sweeps).
     param_map:
         Optional translation from grid-point parameters to scheme-runner
         parameters (e.g. ``{"n": ..., "m": ...}`` grids mapping onto
-        ``n_bins``/``n_balls``).  Spec-driven sweeps only.
+        ``n_bins``/``n_balls``).
     policy, engine:
-        Forwarded to every generated spec (spec-driven sweeps only).
+        Forwarded to every generated spec.
     """
 
     grid: Mapping[str, Sequence[object]]
-    factory: Optional[Callable[[Mapping[str, object], int], AllocationResult]] = None
+    scheme: str
     filter_fn: Optional[Callable[[Mapping[str, object]], bool]] = None
-    scheme: Optional[str] = None
     param_map: Optional[Callable[[Mapping[str, object]], Mapping[str, object]]] = None
     policy: Optional[str] = None
     engine: str = "auto"
-
-    def __post_init__(self) -> None:
-        if (self.factory is None) == (self.scheme is None):
-            raise ValueError("provide exactly one of 'scheme' or 'factory'")
 
     def points(self) -> Iterator[SweepPoint]:
         """Iterate over the (filtered) grid points."""
@@ -107,8 +93,6 @@ class ParameterSweep:
         """The :class:`~repro.api.SchemeSpec` a grid point materializes to."""
         from ..api import SchemeSpec  # deferred: repro.api builds on this package
 
-        if self.scheme is None:
-            raise ValueError("spec_for() requires a scheme-driven sweep")
         params = (
             dict(self.param_map(point.params))
             if self.param_map is not None
@@ -122,14 +106,6 @@ class ParameterSweep:
             label=point.label,
         )
 
-    def _result_factory(self, point: SweepPoint):
-        if self.factory is not None:
-            return lambda s, p=point.params: self.factory(p, s)
-        from ..api import simulate  # deferred import, see module docstring
-
-        spec = self.spec_for(point)
-        return lambda s, spec=spec: simulate(spec.with_seed(s))
-
     def run(
         self,
         trials: int = 10,
@@ -141,41 +117,32 @@ class ParameterSweep:
         """Run every grid point ``trials`` times.
 
         ``n_jobs`` and ``cache`` forward to
-        :func:`repro.api.simulate_trials` for spec-driven sweeps (results are
-        identical for every setting); legacy factory sweeps ignore both and
-        run serially.
+        :func:`repro.api.simulate_trials` (results are identical for every
+        setting).
         """
-        if self.scheme is not None:
-            # Deferred import, see module docstring.
-            from ..api import simulate_trials
-            from ..api.cache import as_result_store
+        # Deferred import, see module docstring.
+        from ..api import simulate_trials
+        from ..api.cache import as_result_store
 
-            cache = as_result_store(cache)
-            # One shared tree, points in order, ``trials`` seeds per point:
-            # the exact derivation sequence ExperimentRunner produced, so
-            # historical results are preserved seed for seed.
-            tree = SeedTree(seed)
-            return [
-                (
-                    point,
-                    simulate_trials(
-                        self.spec_for(point),
-                        trials=trials,
-                        seed_tree=tree,
-                        metrics=metrics,
-                        n_jobs=n_jobs,
-                        cache=cache,
-                    ),
-                )
-                for point in self.points()
-            ]
-        runner = ExperimentRunner(trials=trials, seed=seed, metrics=metrics)
-        outcomes: List[tuple[SweepPoint, ExperimentOutcome]] = []
-        for point in self.points():
-            outcomes.append(
-                (point, runner.run(self._result_factory(point), label=point.label))
+        cache = as_result_store(cache)
+        # One shared tree, points in order, ``trials`` seeds per point: the
+        # exact derivation sequence ExperimentRunner produced, so historical
+        # results are preserved seed for seed.
+        tree = SeedTree(seed)
+        return [
+            (
+                point,
+                simulate_trials(
+                    self.spec_for(point),
+                    trials=trials,
+                    seed_tree=tree,
+                    metrics=metrics,
+                    n_jobs=n_jobs,
+                    cache=cache,
+                ),
             )
-        return outcomes
+            for point in self.points()
+        ]
 
     def run_table(
         self,

@@ -5,7 +5,8 @@
 ``strict_select_rows`` must equal one ``strict_select`` per row — rounds
 that sample a bin twice, bit-equal tie-break doubles and high loads
 included.  The batched kd-family and stale paths must never fall back to
-the scalar kernel.
+the scalar kernel, and neither may the per-ball and topology kernels that
+speculate and truncate (locality, hierarchical, threshold, weighted).
 """
 
 from __future__ import annotations
@@ -13,15 +14,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import get_scheme
+from repro.api import SchemeSpec, get_scheme, simulate
 from repro.core import batched, policies
+from repro.core import weighted as weighted_core
 from repro.core.batched import (
     ConflictScratch,
     add_repeat_counts,
     conflict_free_prefix,
     strict_select_rows,
 )
+from repro.core.kernels import adaptive as adaptive_kernel
 from repro.core.kernels import kd as kd_kernel, stale as stale_kernel
+from repro.core.kernels import topology as topology_kernel
+from repro.core.kernels import weighted as weighted_kernel
 from repro.core.kernels.kd import _select_rounds
 from repro.core.policies import strict_select
 
@@ -127,3 +132,82 @@ def test_batched_paths_never_call_the_scalar_kernel(monkeypatch, scheme, params)
     _forbid_scalar_kernel(monkeypatch)
     result = get_scheme(scheme).vectorized(seed=4, **params)
     assert np.array_equal(result.loads, reference.loads)
+
+
+def _run(scheme, params, engine):
+    return simulate(SchemeSpec(scheme=scheme, params=params, seed=5, engine=engine))
+
+
+@pytest.mark.parametrize(
+    "scheme,params",
+    [
+        ("locality_two_choice", {"n_bins": 64, "n_balls": 4000,
+                                 "topology": "dual_zone", "bias": 0.5,
+                                 "threshold": 1}),
+        ("locality_two_choice", {"n_bins": 64, "n_balls": 3000, "d": 5,
+                                 "topology": "wide", "bias": 0.3}),
+        ("hierarchical_always_go_left", {"n_bins": 64, "n_balls": 4000, "d": 4}),
+        ("hierarchical_always_go_left", {"n_bins": 64, "n_balls": 3000,
+                                         "topology": "wide"}),
+        ("threshold_adaptive", {"n_bins": 64, "n_balls": 4000}),
+        ("threshold_adaptive", {"n_bins": 64, "n_balls": 4000, "threshold": 3,
+                                "max_probes": 5}),
+    ],
+)
+def test_per_ball_kernels_never_replay(monkeypatch, scheme, params):
+    # High conflict: thousands of balls into 64 bins, so almost every
+    # speculation window truncates.
+    reference = _run(scheme, params, "scalar")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{scheme}'s batched path replayed a ball")
+
+    for module, name in (
+        (topology_kernel, "locality_select"),
+        (topology_kernel, "least_loaded_probe"),
+        (adaptive_kernel, "threshold_place"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    result = _run(scheme, params, "vectorized")
+    assert np.array_equal(result.loads, reference.loads)
+    assert result.messages == reference.messages
+    assert result.extra == {**reference.extra, "engine": "vectorized"}
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"n_bins": 64, "k": 2, "d": 4, "n_balls": 4000},
+        {"n_bins": 64, "k": 4, "d": 9, "n_balls": 4000, "weights": "pareto"},
+        {"n_bins": 16, "k": 3, "d": 12, "n_balls": 3000},
+    ],
+)
+def test_weighted_kernel_replays_only_repeated_samples(monkeypatch, params):
+    # Spy on the scalar reference's round kernel for every round's samples.
+    repeated = []
+    scalar_round = weighted_core.weighted_round_apply
+
+    def record(loads, counts, samples, *args, **kwargs):
+        repeated.append(len(set(samples)) < len(samples))
+        return scalar_round(loads, counts, samples, *args, **kwargs)
+
+    monkeypatch.setattr(weighted_core, "weighted_round_apply", record)
+    reference = _run("weighted_kd_choice", params, "scalar")
+    monkeypatch.undo()
+    assert len(repeated) == params["n_balls"] // params["k"]
+
+    calls = []
+
+    def count(loads, counts, samples, *args, **kwargs):
+        calls.append(samples)
+        return scalar_round(loads, counts, samples, *args, **kwargs)
+
+    monkeypatch.setattr(weighted_kernel, "weighted_round_apply", count)
+    result = _run("weighted_kd_choice", params, "vectorized")
+    assert np.array_equal(result.loads, reference.loads)
+    assert np.array_equal(
+        result.extra["weighted_loads"], reference.extra["weighted_loads"]
+    )
+    assert result.messages == reference.messages
+    assert len(calls) == sum(repeated)
+    assert all(len(set(samples)) < len(samples) for samples in calls)

@@ -65,17 +65,14 @@ class TestExperimentRunner:
 
 class TestParameterSweep:
     def test_points_cartesian_product(self):
-        sweep = ParameterSweep(
-            grid={"x": [1, 2], "y": ["a", "b"]},
-            factory=lambda params, seed: run_kd_choice(64, 1, 2, seed=seed),
-        )
+        sweep = ParameterSweep(grid={"x": [1, 2], "y": ["a", "b"]}, scheme="kd_choice")
         points = list(sweep.points())
         assert len(points) == 4
 
     def test_filter_applies(self):
         sweep = ParameterSweep(
             grid={"x": [1, 2, 3]},
-            factory=lambda params, seed: run_kd_choice(64, 1, 2, seed=seed),
+            scheme="kd_choice",
             filter_fn=lambda params: params["x"] != 2,
         )
         assert len(list(sweep.points())) == 2
@@ -83,7 +80,8 @@ class TestParameterSweep:
     def test_run_table_contains_parameters_and_metrics(self):
         sweep = ParameterSweep(
             grid={"d": [2, 4]},
-            factory=lambda params, seed: run_kd_choice(64, 1, int(params["d"]), seed=seed),
+            scheme="kd_choice",
+            param_map=lambda params: {"n_bins": 64, "k": 1, "d": int(params["d"])},
         )
         table = sweep.run_table(trials=2, seed=0, title="t")
         assert len(table) == 2
