@@ -85,6 +85,8 @@ class LoadgenReport:
                 f"  pool: shards={self.pool['n_shards']} "
                 f"(policy={self.pool['policy']}), "
                 f"placed={self.pool['placed']}, "
+                f"removed={self.pool['removed']}, "
+                f"shard_removed={self.pool['shard_removed']}, "
                 f"live_items={self.pool['live_items']}, "
                 f"max_load={self.pool['max_load']}, "
                 f"shard_items={self.pool['shard_items']}"
@@ -216,7 +218,10 @@ async def run_loadgen(
                 stats = await client.stats()
                 server_stats = stats["server"]
                 pool_stats = stats["pool"]
-                pool_stats.pop("shards", None)  # per-shard detail is verbose
+                # Per-shard detail is verbose; keep the shards' remove total.
+                pool_stats["shard_removed"] = sum(
+                    shard["removed"] for shard in pool_stats.pop("shards")
+                )
             if shutdown_after:
                 await client.shutdown()
         finally:

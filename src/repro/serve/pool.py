@@ -22,6 +22,15 @@ Determinism contract
   pinned ``n_balls``) and fed the same subsequence — the pool adds routing
   and transport, never drift.
 
+Removes
+-------
+Every shard command is an *envelope*: that shard's queued removes, then
+the command.  The pool keeps each tracked item's ``(shard, bin)``, so
+:meth:`ShardPool.remove` answers from that map and only queues the id; the
+worker applies it ahead of the shard's next command (``place_batch``
+addresses shards that only have removes queued, so none outlives it).  A
+shard therefore sees the same op sequence as with one message per remove.
+
 Snapshots
 ---------
 :meth:`ShardPool.snapshot` captures a *manifest*: shard count, router
@@ -87,15 +96,23 @@ class _ShardServer:
             self.allocator = OnlineAllocator(spec)
 
     def handle(self, message: Tuple[Any, ...]) -> Any:
-        op = message[0]
+        """Apply the envelope's queued removes in order, then run its op."""
+        op, removes, *args = message
         allocator = self.allocator
+        rejected = None
+        for item in removes:
+            try:
+                allocator.remove(item)
+            except Exception as exc:
+                rejected = rejected or (
+                    f"queued remove of item {item!r} rejected: "
+                    f"{type(exc).__name__}: {exc}"
+                )
+        if rejected is not None:
+            raise ShardPoolError(rejected)
         if op == "place_batch":
-            _, count, items = message
-            return allocator.place_batch(count, items=items)
-        if op == "place":
-            return allocator.place(message[1])
-        if op == "remove":
-            return allocator.remove(message[1])
+            count, items = args
+            return allocator.place_batch(count, items=items).tolist()
         if op == "loads":
             return np.array(allocator.loads, copy=True)
         if op == "snapshot":
@@ -104,6 +121,10 @@ class _ShardServer:
             return allocator.summary()
         if op == "telemetry":
             return allocator.telemetry.counters()
+        if op == "items":
+            return allocator.placed, allocator.removed, allocator.items()
+        if op == "stop":
+            return None
         raise ShardPoolError(f"unknown shard op {op!r}")
 
 
@@ -121,13 +142,12 @@ def _shard_worker_process(conn: Any, payload: Dict[str, Any]) -> None:
             message = conn.recv()
         except EOFError:
             break
-        if message[0] == "stop":
-            conn.send(("ok", None))
-            break
         try:
             conn.send(("ok", server.handle(message)))
         except Exception as exc:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
+        if message[0] == "stop":
+            break
     conn.close()
 
 
@@ -159,7 +179,9 @@ class _ProcessShard:
         try:
             self._conn.send(message)
         except (BrokenPipeError, OSError):
-            raise ShardPoolError(f"shard {self.index} is gone") from None
+            raise ShardPoolError(
+                f"shard {self.index} died (worker process exited)"
+            ) from None
 
     def _receive(self) -> Tuple[str, Any]:
         try:
@@ -175,14 +197,10 @@ class _ProcessShard:
             raise ShardPoolError(f"shard {self.index}: {value}")
         return value
 
-    def call(self, *message: Any) -> Any:
-        self.submit(message)
-        return self.result()
-
-    def close(self) -> None:
+    def close(self, removes: Sequence[Any] = ()) -> None:
         if self._process.is_alive():
             try:
-                self._conn.send(("stop",))
+                self._conn.send(("stop", removes))
                 self._conn.recv()
             except (BrokenPipeError, OSError, EOFError):
                 pass
@@ -204,7 +222,7 @@ class _ThreadShard:
     def __init__(self, index: int, payload: Dict[str, Any]) -> None:
         self.index = index
         self.server = _ShardServer(**payload)
-        self._requests: "queue.Queue[Optional[Tuple[Any, ...]]]" = queue.Queue()
+        self._requests: "queue.Queue[Tuple[Any, ...]]" = queue.Queue()
         self._responses: "queue.Queue[Tuple[str, Any]]" = queue.Queue()
         self._thread = threading.Thread(
             target=self._loop, daemon=True, name=f"repro-serve-shard-{index}"
@@ -214,15 +232,14 @@ class _ThreadShard:
     def _loop(self) -> None:
         while True:
             message = self._requests.get()
-            if message is None or message[0] == "stop":
-                self._responses.put(("ok", None))
-                break
             try:
                 self._responses.put(("ok", self.server.handle(message)))
             except Exception as exc:
                 self._responses.put(
                     ("error", f"{type(exc).__name__}: {exc}")
                 )
+            if message[0] == "stop":
+                break
 
     def submit(self, message: Tuple[Any, ...]) -> None:
         self._requests.put(message)
@@ -233,13 +250,9 @@ class _ThreadShard:
             raise ShardPoolError(f"shard {self.index}: {value}")
         return value
 
-    def call(self, *message: Any) -> Any:
-        self.submit(message)
-        return self.result()
-
-    def close(self) -> None:
+    def close(self, removes: Sequence[Any] = ()) -> None:
         if self._thread.is_alive():
-            self._requests.put(("stop",))
+            self._requests.put(("stop", removes))
             self._responses.get()
             self._thread.join(timeout=5)
 
@@ -345,7 +358,8 @@ class ShardPool:
             [{"spec": shard_spec} for shard_spec in specs]
         )
         self._shard_items = np.zeros(n_shards, dtype=np.int64)
-        self._items: Dict[Any, int] = {}  # item id -> shard index
+        self._items: Dict[Any, Tuple[int, int]] = {}  # item id -> (shard, bin)
+        self._outboxes: List[List[Any]] = [[] for _ in range(n_shards)]
         self.placed = 0
         self.removed = 0
         self._closed = False
@@ -382,14 +396,47 @@ class ShardPool:
 
     def bin_loads(self) -> List[np.ndarray]:
         """Every shard's per-bin load vector (one pipe round-trip each)."""
-        self._check_open()
-        for shard in self._shards:
-            shard.submit(("loads",))
-        return [shard.result() for shard in self._shards]
+        return self._broadcast("loads")
 
     def items(self) -> Dict[Any, int]:
         """Tracked live items mapped to their shard."""
-        return dict(self._items)
+        return {item: shard for item, (shard, _) in self._items.items()}
+
+    def check_invariants(self) -> None:
+        """Raise :class:`ShardPoolError` unless the pool agrees with its shards.
+
+        Each shard's ``placed - removed`` must equal the pool's count for
+        it, those counts must sum to :attr:`live_items`, and the pool's
+        ``(shard, bin)`` map must equal the union of the shards' tracked
+        items.  The counters, not ``live_balls``, are compared: a
+        round-based shard pre-commits a whole round of balls.
+        """
+        tracked = self._broadcast("items")
+        problems = [
+            f"shard {index} holds {placed - removed} items, the pool counts "
+            f"{self._shard_items[index]}"
+            for index, (placed, removed, _) in enumerate(tracked)
+            if placed - removed != self._shard_items[index]
+        ]
+        if self._shard_items.sum() != self.live_items:
+            problems.append(
+                f"shard counts sum to {self._shard_items.sum()}, "
+                f"live_items is {self.live_items}"
+            )
+        shard_map = [
+            (item, (index, bin_index))
+            for index, (_, _, items) in enumerate(tracked)
+            for item, bin_index in items.items()
+        ]
+        if len(shard_map) != len(self._items) or dict(shard_map) != self._items:
+            problems.append(
+                "the pool's (shard, bin) map differs from the shards' "
+                "tracked items"
+            )
+        if problems:
+            raise ShardPoolError(
+                "pool invariants violated: " + "; ".join(problems)
+            )
 
     # ------------------------------------------------------------------
     # Placement and churn
@@ -397,6 +444,33 @@ class ShardPool:
     def _check_open(self) -> None:
         if self._closed:
             raise ShardPoolError("the pool is closed")
+
+    def _send(self, index: int, op: str, *args: Any) -> None:
+        """Send ``op`` to shard ``index`` with its queued removes ahead."""
+        removes, self._outboxes[index] = self._outboxes[index], []
+        self._shards[index].submit((op, removes, *args))
+
+    def _collect(self, indices: Sequence[int]) -> List[Any]:
+        """The shards' replies in order; drains them all before raising."""
+        replies: List[Any] = []
+        failure: Optional[ShardPoolError] = None
+        for index in indices:
+            try:
+                replies.append(self._shards[index].result())
+            except ShardPoolError as exc:
+                # Keep draining the other shards so the pool stays usable,
+                # then surface the first failure.
+                failure = failure or exc
+        if failure is not None:
+            raise failure
+        return replies
+
+    def _broadcast(self, op: str) -> List[Any]:
+        """Run ``op`` on every shard concurrently; replies in shard order."""
+        self._check_open()
+        for index in range(self.n_shards):
+            self._send(index, op)
+        return self._collect(range(self.n_shards))
 
     def place(self, item: Any = None) -> Tuple[int, int]:
         """Route and place one item; returns ``(shard, bin)``."""
@@ -414,7 +488,9 @@ class ShardPool:
         sequentially against the live shard-load vector (bit-identical to
         ``count`` single :meth:`place` calls); the per-shard placements then
         run concurrently — every shard receives its sub-batch before any
-        result is collected.
+        result is collected.  Shards with queued removes but no places get
+        a count-0 envelope in the same dispatch, so no remove stays queued
+        past this call.
         """
         self._check_open()
         count = int(count)
@@ -443,67 +519,51 @@ class ShardPool:
             )
         shards = self.router.route_batch(count, self._shard_items)
         bins = np.empty(count, dtype=np.int64)
-        positions: List[np.ndarray] = []
-        busy: List[int] = []
-        for shard_index in range(self.n_shards):
-            where = np.flatnonzero(shards == shard_index)
-            positions.append(where)
-            if len(where) == 0:
-                continue
+        positions = [np.flatnonzero(shards == i) for i in range(self.n_shards)]
+        busy = [
+            i for i in range(self.n_shards)
+            if len(positions[i]) or self._outboxes[i]
+        ]
+        for shard_index in busy:
+            where = positions[shard_index]
             shard_items = (
                 [items[p] for p in where] if items is not None else None
             )
-            self._shards[shard_index].submit(
-                ("place_batch", len(where), shard_items)
-            )
-            busy.append(shard_index)
-        failure: Optional[ShardPoolError] = None
-        for shard_index in busy:
-            try:
-                bins[positions[shard_index]] = self._shards[shard_index].result()
-            except ShardPoolError as exc:
-                # Keep draining the other shards so the pool stays usable,
-                # then surface the first failure.
-                if failure is None:
-                    failure = exc
-        if failure is not None:
-            raise failure
-        for shard_index in busy:
+            self._send(shard_index, "place_batch", len(where), shard_items)
+        for shard_index, shard_bins in zip(busy, self._collect(busy)):
+            bins[positions[shard_index]] = shard_bins
             self._shard_items[shard_index] += len(positions[shard_index])
         self.placed += count
         if items is not None:
-            for position, item in enumerate(items):
-                self._items[item] = int(shards[position])
+            self._items.update(zip(items, zip(shards.tolist(), bins.tolist())))
         return shards, bins
 
     def remove(self, item: Any) -> Tuple[int, int]:
-        """Retire a tracked item; returns the ``(shard, bin)`` it occupied."""
+        """Retire a tracked item; returns the ``(shard, bin)`` it occupied.
+
+        Answered from the pool's own map without a message: the item joins
+        its shard's outbox, which rides ahead of that shard's next command.
+        A shard that rejects it fails that command, naming the item.
+        """
         self._check_open()
         try:
-            shard_index = self._items.pop(item)
+            shard_index, bin_index = self._items.pop(item)
         except KeyError:
             raise ShardPoolError(
                 f"unknown item {item!r}; place it with an item id before "
                 f"removing it"
             ) from None
-        try:
-            bin_index = self._shards[shard_index].call("remove", item)
-        except ShardPoolError:
-            self._items[item] = shard_index  # undo the pop
-            raise
+        self._outboxes[shard_index].append(item)
         self._shard_items[shard_index] -= 1
         self.removed += 1
-        return shard_index, int(bin_index)
+        return shard_index, bin_index
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, Any]:
         """Deterministic pool-wide statistics plus per-shard summaries."""
-        self._check_open()
-        for shard in self._shards:
-            shard.submit(("summary",))
-        shard_summaries = [shard.result() for shard in self._shards]
+        shard_summaries = self._broadcast("summary")
         max_load = max(s["max_load"] for s in shard_summaries)
         total_bins = sum(s["n_bins"] for s in shard_summaries)
         live = sum(s["live_balls"] for s in shard_summaries)
@@ -537,10 +597,7 @@ class ShardPool:
 
     def telemetry_counters(self) -> List[Dict[str, int]]:
         """Per-shard telemetry counters (placements, removals, samples)."""
-        self._check_open()
-        for shard in self._shards:
-            shard.submit(("telemetry",))
-        return [shard.result() for shard in self._shards]
+        return self._broadcast("telemetry")
 
     # ------------------------------------------------------------------
     # Cross-shard snapshots
@@ -554,10 +611,7 @@ class ShardPool:
         Each one is recorded together with its canonical SHA-256 digest;
         :meth:`restore` verifies the digests before rebuilding anything.
         """
-        self._check_open()
-        for shard in self._shards:
-            shard.submit(("snapshot",))
-        shard_snapshots = [shard.result() for shard in self._shards]
+        shard_snapshots = self._broadcast("snapshot")
         return {
             "format": MANIFEST_FORMAT,
             "version": MANIFEST_VERSION,
@@ -570,7 +624,7 @@ class ShardPool:
             "placed": self.placed,
             "removed": self.removed,
             "shard_items": self._shard_items.tolist(),
-            "items": [[item, shard] for item, shard in self._items.items()],
+            "items": [[item, shard] for item, (shard, _) in self._items.items()],
             "shards": [
                 {"digest": snapshot_digest(snap), "snapshot": snap}
                 for snap in shard_snapshots
@@ -636,11 +690,26 @@ class ShardPool:
             spec, pool.n_shards, pool.capacity
         )
         pool.router = restore_router(manifest["router"])
+        # The bins come from the shard snapshots' own item lists.
+        shard_bins = [
+            {item: int(bin_) for item, _, bin_ in entry["snapshot"]["items"]}
+            for entry in entries
+        ]
+        try:
+            pool._items = {
+                item: (int(shard), shard_bins[int(shard)][item])
+                for item, shard in manifest["items"]
+            }
+        except KeyError as exc:
+            raise ShardPoolError(
+                f"manifest item {exc.args[0]!r} is not tracked by its shard; "
+                f"the manifest is corrupt"
+            ) from None
+        pool._outboxes = [[] for _ in range(pool.n_shards)]
         pool._shards = pool._start_shards(
             [{"snapshot": entry["snapshot"]} for entry in entries]
         )
         pool._shard_items = np.asarray(manifest["shard_items"], dtype=np.int64)
-        pool._items = {item: int(shard) for item, shard in manifest["items"]}
         pool.placed = int(manifest["placed"])
         pool.removed = int(manifest["removed"])
         pool._closed = False
@@ -669,8 +738,8 @@ class ShardPool:
         if self._closed:
             return
         self._closed = True
-        for shard in self._shards:
-            shard.close()
+        for shard, removes in zip(self._shards, self._outboxes):
+            shard.close(removes)
 
     def __enter__(self) -> "ShardPool":
         return self

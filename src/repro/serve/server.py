@@ -8,7 +8,9 @@ joins one queue in arrival order.  The batcher takes everything queued
 a single executor job: each run of ``place`` requests becomes one
 :meth:`ShardPool.place_batch` call, riding the allocator's batched
 ingestion path, and removes, batches and snapshots run in their arrival
-positions.  The window is self-clocked: while the pool thread works, the
+positions.  A remove costs no shard round trip: the pool answers it from
+its own ``(shard, bin)`` map and ships it ahead of that shard's next
+command.  The window is self-clocked: while the pool thread works, the
 next window collects, so there is no timer — a lone request is served at
 once and load grows the windows by itself.
 

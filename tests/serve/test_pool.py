@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
 
 import numpy as np
 import pytest
 
 from repro.api import SchemeSpec
-from repro.online import OnlineAllocator
+from repro.online import OnlineAllocator, snapshot_digest
 from repro.serve import (
     MANIFEST_FORMAT,
     MANIFEST_VERSION,
@@ -192,6 +194,14 @@ class TestManifests:
         with pytest.raises(ShardPoolError, match="digest mismatch"):
             ShardPool.restore(manifest)
 
+    def test_item_missing_from_its_shard_snapshot_is_rejected(self):
+        with ShardPool(kd_spec(), 2, mode="thread") as pool:
+            pool.place_batch(5, items=list("abcde"))
+            manifest = pool.snapshot()
+        manifest["items"].append(["ghost", 0])
+        with pytest.raises(ShardPoolError, match="'ghost' is not tracked"):
+            ShardPool.restore(manifest)
+
     def test_wrong_format_and_version_rejected(self):
         with ShardPool(kd_spec(), 2, mode="thread") as pool:
             manifest = pool.snapshot()
@@ -250,3 +260,173 @@ class TestSeeding:
             ShardPool(kd_spec(), 0, mode="thread")
         with pytest.raises(ShardPoolError, match="mode"):
             ShardPool(kd_spec(), 2, mode="fiber")
+
+
+def churn_stream(seed, length=240):
+    """A seed-pinned tracked stream: each op removes a live item with
+    probability 0.5, else places a run of 1-4 ids, some of them re-used
+    from earlier removes."""
+    rng = np.random.default_rng(seed)
+    live, retired, ops, fresh = [], [], [], 0
+    for _ in range(length):
+        if live and rng.random() < 0.5:
+            item = live.pop(int(rng.integers(len(live))))
+            ops.append(("remove", item))
+            retired.append(item)
+            continue
+        run = []
+        for _ in range(int(rng.integers(1, 5))):
+            if retired and rng.random() < 0.3:
+                run.append(retired.pop(int(rng.integers(len(retired)))))
+            else:
+                run.append(f"i{fresh}")
+                fresh += 1
+        ops.append(("place", run))
+        live.extend(run)
+    return ops
+
+
+class TestQueuedRemoves:
+    """Removes are answered from the pool's map and shipped ahead of each
+    shard's next command; every shard still sees the sequential stream."""
+
+    def test_churn_stream_matches_standalone_allocators(self, mode):
+        pool = ShardPool(kd_spec(n_balls=2000), 3, mode=mode)
+        twins = [OnlineAllocator(spec) for spec in pool.shard_specs]
+        router = make_router("two_choice", 3, seed=pool.router_seed)
+        counts = np.zeros(3, dtype=np.int64)
+        where, run_of = {}, {}  # item -> its shard / its place run
+        covered = dict.fromkeys(
+            ("same_run_removes", "queued_replaces", "restored_removes"), 0
+        )
+        last_removed_run = restored_at = None
+        ops = churn_stream(seed=2024)
+        try:
+            for step, (op, arg) in enumerate(ops):
+                # Mid-stream, with removes queued: snapshot -> restore.
+                if restored_at is None and step >= len(ops) // 2 and any(
+                    pool._outboxes
+                ):
+                    restored_at = step
+                    manifest = json.loads(json.dumps(pool.snapshot()))
+                    assert [entry["digest"] for entry in manifest["shards"]] == [
+                        snapshot_digest(twin.snapshot()) for twin in twins
+                    ]
+                    # Manifest version 1: items map to shards; restore
+                    # takes the bins from the shard snapshots.
+                    assert dict(manifest["items"]) == where
+                    pool.close()
+                    pool = ShardPool.restore(manifest, mode=mode)
+                if op == "remove":
+                    shard = where.pop(arg)
+                    assert pool.remove(arg) == (shard, twins[shard].remove(arg))
+                    counts[shard] -= 1
+                    if run_of[arg] == last_removed_run:
+                        covered["same_run_removes"] += 1
+                    if restored_at is not None and run_of[arg] < restored_at:
+                        covered["restored_removes"] += 1
+                    last_removed_run = run_of[arg]
+                    continue
+                queued = {item for box in pool._outboxes for item in box}
+                covered["queued_replaces"] += len(queued.intersection(arg))
+                expected_shards = router.route_batch(len(arg), counts)
+                shards, bins = pool.place_batch(len(arg), items=arg)
+                assert shards.tolist() == expected_shards.tolist()
+                for shard in range(3):
+                    positions = np.flatnonzero(shards == shard)
+                    run = [arg[p] for p in positions]
+                    assert bins[positions].tolist() == (
+                        twins[shard].place_batch(len(run), items=run).tolist()
+                    )
+                    counts[shard] += len(run)
+                for item, shard in zip(arg, shards.tolist()):
+                    where[item], run_of[item] = shard, step
+                last_removed_run = None
+            assert restored_at is not None
+            assert min(covered.values()) > 0, covered
+            summary = pool.summary()
+            assert summary["shards"] == [twin.summary() for twin in twins]
+            assert summary["removed"] == sum(twin.removed for twin in twins)
+            assert [loads.tolist() for loads in pool.bin_loads()] == [
+                twin.loads.tolist() for twin in twins
+            ]
+            assert [entry["digest"] for entry in pool.snapshot()["shards"]] == [
+                snapshot_digest(twin.snapshot()) for twin in twins
+            ]
+            assert pool.items() == where
+            pool.check_invariants()
+        finally:
+            pool.close()
+
+    def test_removes_send_no_message_until_the_next_place_batch(
+        self, monkeypatch
+    ):
+        router = make_router("round_robin", 3)
+        with ShardPool(kd_spec(), 3, policy=router, mode="thread") as pool:
+            pool.place_batch(30, items=[f"i{n}" for n in range(30)])
+            sent = []
+            for shard in pool._shards:
+                def counted(message, shard=shard, submit=shard.submit):
+                    sent.append((shard.index, message))
+                    submit(message)
+                monkeypatch.setattr(shard, "submit", counted)
+            victims = [f"i{n}" for n in range(1, 30, 3)]  # all on shard 1
+            for item in victims:
+                assert pool.remove(item)[0] == 1
+            assert sent == []
+            assert pool.place("fresh")[0] == 0  # round robin: shard 0
+            assert sorted(index for index, _ in sent) == [0, 1]
+            assert dict(sent)[1] == ("place_batch", victims, 0, [])
+            assert dict(sent)[0] == ("place_batch", [], 1, ["fresh"])
+            assert pool._shards[1].server.allocator.removed == len(victims)
+            pool.check_invariants()
+
+    def test_every_command_carries_the_queued_removes(self, mode):
+        with ShardPool(kd_spec(), 2, mode=mode) as pool:
+            pool.place_batch(20, items=[f"i{n}" for n in range(20)])
+            commands = [
+                pool.telemetry_counters, pool.bin_loads, pool.snapshot,
+                pool.check_invariants, pool.summary,
+            ]
+            for n, command in enumerate(commands, 1):
+                pool.remove(f"i{n}")
+                command()
+                assert not any(pool._outboxes)
+            removals = [c["removals"] for c in pool.telemetry_counters()]
+            assert sum(removals) == len(commands)
+            pool.remove("i0")
+            pool.close()  # the stop command carries the last remove
+            if mode == "thread":
+                assert sum(
+                    shard.server.allocator.removed for shard in pool._shards
+                ) == len(commands) + 1
+
+    def test_rejected_queued_remove_fails_its_carrier(self, monkeypatch):
+        with ShardPool(kd_spec(), 2, mode="thread") as pool:
+            pool.place_batch(10, items=[f"i{n}" for n in range(10)])
+            shard, _ = pool.remove("i3")
+
+            def refuse(item):
+                raise RuntimeError("refused")
+
+            allocator = pool._shards[shard].server.allocator
+            monkeypatch.setattr(allocator, "remove", refuse)
+            with pytest.raises(
+                ShardPoolError, match=rf"shard {shard}: .*'i3'.*refused"
+            ):
+                pool.summary()
+            monkeypatch.undo()
+            # The pool stays usable, and the divergence is checkable.
+            assert pool.summary()["removed"] == 1
+            with pytest.raises(ShardPoolError, match="invariants violated"):
+                pool.check_invariants()
+
+    def test_dead_shard_after_a_remove(self):
+        with ShardPool(kd_spec(), 2, mode="process") as pool:
+            pool.place_batch(10, items=[f"i{n}" for n in range(10)])
+            shard, _ = pool.remove("i0")
+            process = pool._shards[shard]._process
+            os.kill(process.pid, signal.SIGKILL)
+            process.join(timeout=10)
+            with pytest.raises(ShardPoolError, match=f"shard {shard} died"):
+                pool.summary()

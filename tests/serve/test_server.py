@@ -361,6 +361,7 @@ class TestServeWindows:
                     for conn, op, arg in stream
                 ])
                 stats = await clients[0].stats()
+                await server._pool_call(server.pool.check_invariants)
             finally:
                 for client in clients:
                     await client.close()
@@ -393,6 +394,7 @@ class TestServeWindows:
                         ]
                     assert served_manifest == json.loads(json.dumps(expected))
             assert stats["pool"] == json.loads(json.dumps(pool.summary()))
+            pool.check_invariants()
 
     def test_failed_op_fails_only_its_request(self):
         async def body(server):
@@ -405,6 +407,7 @@ class TestServeWindows:
                     lambda: client.place(),
                     lambda: client.remove("x"),
                 ])
+                await server._pool_call(server.pool.check_invariants)
             finally:
                 await client.close()
             assert server.windows == 2  # everything after "x" shared one
@@ -429,6 +432,7 @@ class TestServeWindows:
                 items = server.pool.items()
                 # No id is reserved: a client may use any string.
                 await client.place("__serve_auto_1")
+                await server._pool_call(server.pool.check_invariants)
             finally:
                 await client.close()
             return answers, items
@@ -483,10 +487,13 @@ class TestLoadgen:
             assert report.server["places"] == 400
             assert report.pool["placed"] == 400
             assert report.pool["removed"] == report.removes
+            # The stats op reaches every shard, queued removes first.
+            assert report.pool["shard_removed"] == report.removes
             # The dict and text renderings carry the same numbers.
             assert report.to_dict()["places"] == 400
             assert f"{report.places} places" in report.format_text()
             assert f"windows={report.server['windows']}," in report.format_text()
+            assert f"shard_removed={report.removes}," in report.format_text()
 
         run(with_server(body))
 
