@@ -262,3 +262,16 @@ class SchemeSpec:
             "engine": self.engine,
             "label": self.label,
         }
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "SchemeSpec":
+        """Inverse of :meth:`to_dict` (snapshot and manifest documents)."""
+        return cls(
+            scheme=data["scheme"],
+            params=data["params"],
+            policy=data.get("policy"),
+            seed=data.get("seed"),
+            trials=data.get("trials", 1),
+            engine=data.get("engine", "auto"),
+            label=data.get("label"),
+        )

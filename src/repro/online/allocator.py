@@ -292,9 +292,7 @@ class OnlineAllocator:
         self.placed += 1
         if tracking:
             self._items[key] = (sequence, bin_index)
-        self.telemetry.record_place(
-            bin_index, int(self._stepper.loads[bin_index])
-        )
+        self.telemetry.record_place(bin_index)
         self.telemetry.maybe_sample(self._stepper.loads)
         return bin_index
 
@@ -394,14 +392,13 @@ class OnlineAllocator:
                 f"unknown item {item!r}; place it with an item id (or build "
                 f"the allocator with track_items=True) before removing it"
             ) from None
-        old_load = int(self._stepper.loads[bin_index])
         try:
             self._stepper.remove_ball(bin_index, ball_index=sequence)
         except ValueError as exc:
             self._items[item] = (sequence, bin_index)  # undo the pop
             raise OnlineAllocatorError(str(exc)) from None
         self.removed += 1
-        self.telemetry.record_remove(bin_index, old_load)
+        self.telemetry.record_remove(bin_index)
         self.telemetry.maybe_sample(self._stepper.loads)
         return bin_index
 
@@ -474,18 +471,8 @@ class OnlineAllocator:
                 f"unsupported snapshot version {snapshot.get('version')!r} "
                 f"(this build reads version {SNAPSHOT_VERSION})"
             )
-        spec_dict = snapshot["spec"]
-        spec = SchemeSpec(
-            scheme=spec_dict["scheme"],
-            params=spec_dict["params"],
-            policy=spec_dict.get("policy"),
-            seed=spec_dict.get("seed"),
-            trials=spec_dict.get("trials", 1),
-            engine=spec_dict.get("engine", "auto"),
-            label=spec_dict.get("label"),
-        )
         allocator = cls(
-            spec,
+            SchemeSpec.from_dict(snapshot["spec"]),
             telemetry=telemetry,
             track_items=snapshot.get("track_items", False),
         )

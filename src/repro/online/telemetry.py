@@ -3,11 +3,11 @@
 The allocator calls :meth:`LoadTelemetry.record_place` /
 :meth:`~LoadTelemetry.record_remove` on every event and
 :meth:`~LoadTelemetry.record_block` per bulk ingestion; those updates are
-O(1) (counter bumps plus an incremental running max).  The expensive
-statistics — load percentiles, gap to mean — are computed only when a
-*sample* is taken, every ``sample_every`` events, and appended to a
-fixed-capacity ring (:class:`collections.deque`), so a stream of millions of
-placements carries a bounded, recent window of its own history.
+O(1) counter bumps.  The statistics — max load, load percentiles, gap to
+mean — are computed only when a *sample* is taken, every ``sample_every``
+events, and appended to a fixed-capacity ring (:class:`collections.deque`),
+so a stream of millions of placements carries a bounded, recent window of
+its own history.
 
 The clock is injectable so tests (and the CLI's deterministic summaries)
 can freeze wall time; ``placements_per_sec`` is the only wall-clock-derived
@@ -105,8 +105,6 @@ class LoadTelemetry:
         self._last_sample_placements = 0
         self.placements = 0
         self.removals = 0
-        self._max = 0
-        self._max_dirty = False  # removals/bulk ingestion invalidate the max
         self._events_since_sample = 0
         self._samples_taken = 0
         # Per-tenant counters (multi-tenant workloads only): tenant label ->
@@ -122,24 +120,17 @@ class LoadTelemetry:
     # ------------------------------------------------------------------
     # O(1) event updates
     # ------------------------------------------------------------------
-    def record_place(self, bin_index: int, new_load: int) -> None:
+    def record_place(self, bin_index: int) -> None:
         self.placements += 1
-        if new_load > self._max:
-            self._max = int(new_load)
         self._events_since_sample += 1
 
-    def record_remove(self, bin_index: int, old_load: int) -> None:
+    def record_remove(self, bin_index: int) -> None:
         self.removals += 1
-        if old_load >= self._max:
-            # The removed ball may have been (one of) the maximum; recompute
-            # lazily at the next read instead of scanning per event.
-            self._max_dirty = True
         self._events_since_sample += 1
 
     def record_block(self, count: int) -> None:
         """Account ``count`` placements ingested through a batch kernel."""
         self.placements += count
-        self._max_dirty = True
         self._events_since_sample += count
 
     # ------------------------------------------------------------------
@@ -259,12 +250,6 @@ class LoadTelemetry:
     # ------------------------------------------------------------------
     # Reads and sampling
     # ------------------------------------------------------------------
-    def max_load(self, loads: np.ndarray) -> int:
-        if self._max_dirty:
-            self._max = int(loads.max()) if loads.size else 0
-            self._max_dirty = False
-        return self._max
-
     def due(self) -> bool:
         return self._events_since_sample >= self.sample_every
 
@@ -289,13 +274,7 @@ class LoadTelemetry:
         elapsed = max(now - self._last_sample_time, 1e-12)
         rate = (self.placements - self._last_sample_placements) / elapsed
         mean = float(loads.mean()) if loads.size else 0.0
-        # Samples are the exported artifact, so read the max straight off
-        # the loads (the O(n) is already paid by the percentiles below) —
-        # the incremental counter can lag deferred commits (stale epochs)
-        # and bulk ingestion, and must not leak into a sample.
         maximum = int(loads.max()) if loads.size else 0
-        self._max = maximum
-        self._max_dirty = False
         values = (
             np.percentile(loads, self.percentiles) if loads.size else
             np.zeros(len(self.percentiles))
@@ -382,7 +361,6 @@ class LoadTelemetry:
         self._start = now - float(counters.get("wall_time", 0.0))
         self._last_sample_time = now
         self._last_sample_placements = self.placements
-        self._max_dirty = True
         self._tenants = {
             str(tenant): {
                 "placements": int(stats.get("placements", 0)),

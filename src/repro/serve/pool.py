@@ -22,6 +22,17 @@ Determinism contract
   pinned ``n_balls``) and fed the same subsequence — the pool adds routing
   and transport, never drift.
 
+Transport
+---------
+Both modes run one command loop, :func:`_shard_main`, behind one
+:class:`_Shard`: on a process it speaks over a ``multiprocessing`` pipe, on
+a thread over a pair of in-process queues with the same ``send``/``recv``.
+Every command reaches the shards through :meth:`ShardPool._exchange`, which
+sends to every addressed shard, then reads back every shard it reached
+before raising the first failure, so a dead or rejecting shard never leaves
+another shard's reply unread.  Failures read the same in both modes:
+"shard N failed to start", "shard N died", "shard N: <error>".
+
 Removes
 -------
 Every shard command is an *envelope*: that shard's queued removes, then
@@ -128,8 +139,12 @@ class _ShardServer:
         raise ShardPoolError(f"unknown shard op {op!r}")
 
 
-def _shard_worker_process(conn: Any, payload: Dict[str, Any]) -> None:
-    """Entry point of a ``mode="process"`` shard worker."""
+def _shard_main(conn: Any, payload: Dict[str, Any]) -> None:
+    """A shard worker's command loop, the same on a process and a thread.
+
+    Builds the allocator and answers ``ready`` (or ``error``), then replies
+    to each envelope with ``ok`` or ``error`` until ``stop``.
+    """
     try:
         server = _ShardServer(**payload)
     except Exception as exc:  # construction errors surface in the parent
@@ -151,45 +166,71 @@ def _shard_worker_process(conn: Any, payload: Dict[str, Any]) -> None:
     conn.close()
 
 
-class _ProcessShard:
-    """A shard in its own OS process, spoken to over a pipe.
+class _QueueEnd:
+    """One end of an in-process duplex channel with a pipe end's surface."""
 
-    ``submit``/``result`` are split so the pool can dispatch one command to
-    every shard and only then start collecting — that concurrency is the
-    whole point of process mode.
+    def __init__(
+        self, inbox: "queue.SimpleQueue[Any]", outbox: "queue.SimpleQueue[Any]"
+    ) -> None:
+        self.recv = inbox.get
+        self.send = outbox.put
+
+    def close(self) -> None:
+        pass
+
+
+def _queue_pipe() -> Tuple[_QueueEnd, _QueueEnd]:
+    """The thread host's ``Pipe()``: two queues, no pickling."""
+    a: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
+    b: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
+    return _QueueEnd(a, b), _QueueEnd(b, a)
+
+
+class _Shard:
+    """One shard: :func:`_shard_main` hosted on a process or a thread.
+
+    ``mode="process"`` runs the loop in its own OS process over a
+    ``multiprocessing`` pipe; ``mode="thread"`` runs it on a thread over a
+    queue pair.  ``submit``/``result`` are split so the pool can send one
+    command to every shard before it reads any reply.
     """
 
-    def __init__(self, index: int, payload: Dict[str, Any]) -> None:
+    def __init__(self, index: int, payload: Dict[str, Any], mode: str) -> None:
         self.index = index
-        context = multiprocessing.get_context()
-        self._conn, child_conn = context.Pipe()
-        self._process = context.Process(
-            target=_shard_worker_process,
+        if mode == "process":
+            context = multiprocessing.get_context()
+            self._conn, child_conn = context.Pipe()
+            host: Any = context.Process
+        else:
+            self._conn, child_conn = _queue_pipe()
+            host = threading.Thread
+        self.worker = host(
+            target=_shard_main,
             args=(child_conn, payload),
             daemon=True,
             name=f"repro-serve-shard-{index}",
         )
-        self._process.start()
+        self.worker.start()
         child_conn.close()
         status, value = self._receive()
         if status != "ready":
+            self.join()
             raise ShardPoolError(f"shard {index} failed to start: {value}")
+
+    def _died(self) -> ShardPoolError:
+        return ShardPoolError(f"shard {self.index} died (worker exited)")
 
     def submit(self, message: Tuple[Any, ...]) -> None:
         try:
             self._conn.send(message)
-        except (BrokenPipeError, OSError):
-            raise ShardPoolError(
-                f"shard {self.index} died (worker process exited)"
-            ) from None
+        except OSError:
+            raise self._died() from None
 
     def _receive(self) -> Tuple[str, Any]:
         try:
             return self._conn.recv()
-        except EOFError:
-            raise ShardPoolError(
-                f"shard {self.index} died (worker process exited)"
-            ) from None
+        except (EOFError, OSError):
+            raise self._died() from None
 
     def result(self) -> Any:
         status, value = self._receive()
@@ -197,64 +238,14 @@ class _ProcessShard:
             raise ShardPoolError(f"shard {self.index}: {value}")
         return value
 
-    def close(self, removes: Sequence[Any] = ()) -> None:
-        if self._process.is_alive():
-            try:
-                self._conn.send(("stop", removes))
-                self._conn.recv()
-            except (BrokenPipeError, OSError, EOFError):
-                pass
-        self._process.join(timeout=5)
-        if self._process.is_alive():  # pragma: no cover - defensive
-            self._process.terminate()
-            self._process.join(timeout=5)
+    def join(self) -> None:
+        """Wait for the worker to exit (after ``stop``) and drop the channel."""
+        self.worker.join(timeout=5)
+        terminate = getattr(self.worker, "terminate", None)  # processes only
+        if self.worker.is_alive() and terminate:  # pragma: no cover - defensive
+            terminate()
+            self.worker.join(timeout=5)
         self._conn.close()
-
-
-class _ThreadShard:
-    """A shard on a worker thread: same command surface, no IPC.
-
-    The fallback for single-core debugging (``mode="thread"``): results are
-    identical to process mode — only the transport differs — and the live
-    allocator is reachable as ``.server.allocator`` from the parent.
-    """
-
-    def __init__(self, index: int, payload: Dict[str, Any]) -> None:
-        self.index = index
-        self.server = _ShardServer(**payload)
-        self._requests: "queue.Queue[Tuple[Any, ...]]" = queue.Queue()
-        self._responses: "queue.Queue[Tuple[str, Any]]" = queue.Queue()
-        self._thread = threading.Thread(
-            target=self._loop, daemon=True, name=f"repro-serve-shard-{index}"
-        )
-        self._thread.start()
-
-    def _loop(self) -> None:
-        while True:
-            message = self._requests.get()
-            try:
-                self._responses.put(("ok", self.server.handle(message)))
-            except Exception as exc:
-                self._responses.put(
-                    ("error", f"{type(exc).__name__}: {exc}")
-                )
-            if message[0] == "stop":
-                break
-
-    def submit(self, message: Tuple[Any, ...]) -> None:
-        self._requests.put(message)
-
-    def result(self) -> Any:
-        status, value = self._responses.get()
-        if status != "ok":
-            raise ShardPoolError(f"shard {self.index}: {value}")
-        return value
-
-    def close(self, removes: Sequence[Any] = ()) -> None:
-        if self._thread.is_alive():
-            self._requests.put(("stop", removes))
-            self._responses.get()
-            self._thread.join(timeout=5)
 
 
 # ----------------------------------------------------------------------
@@ -315,7 +306,8 @@ class ShardPool:
     mode:
         ``"process"`` (one OS process per shard, scales with cores) or
         ``"thread"`` (one thread per shard, zero IPC — the ``n_jobs=1``
-        debugging fallback).
+        debugging fallback).  Both run the same shard loop; only the
+        host and the channel differ.
     policy_params:
         Extra keyword parameters of the policy factory (e.g. ``{"d": 4}``).
     """
@@ -354,29 +346,23 @@ class ShardPool:
                 policy, n_shards, seed=self.router_seed,
                 **(policy_params or {}),
             )
-        self._shards = self._start_shards(
-            [{"spec": shard_spec} for shard_spec in specs]
-        )
+        self._start_shards([{"spec": shard_spec} for shard_spec in specs])
         self._shard_items = np.zeros(n_shards, dtype=np.int64)
         self._items: Dict[Any, Tuple[int, int]] = {}  # item id -> (shard, bin)
-        self._outboxes: List[List[Any]] = [[] for _ in range(n_shards)]
         self.placed = 0
         self.removed = 0
-        self._closed = False
 
-    def _start_shards(
-        self, payloads: List[Dict[str, Any]]
-    ) -> List[Any]:
-        shard_type = _ProcessShard if self.mode == "process" else _ThreadShard
-        shards: List[Any] = []
+    def _start_shards(self, payloads: List[Dict[str, Any]]) -> None:
+        """Start one worker per payload; on a failure stop those started."""
+        self._shards: List[_Shard] = []
+        self._outboxes: List[List[Any]] = [[] for _ in payloads]
+        self._closed = False
         try:
             for index, payload in enumerate(payloads):
-                shards.append(shard_type(index, payload))
-        except Exception:
-            for shard in shards:
-                shard.close()
+                self._shards.append(_Shard(index, payload, self.mode))
+        except BaseException:
+            self.close()
             raise
-        return shards
 
     # ------------------------------------------------------------------
     # Views
@@ -445,21 +431,29 @@ class ShardPool:
         if self._closed:
             raise ShardPoolError("the pool is closed")
 
-    def _send(self, index: int, op: str, *args: Any) -> None:
-        """Send ``op`` to shard ``index`` with its queued removes ahead."""
-        removes, self._outboxes[index] = self._outboxes[index], []
-        self._shards[index].submit((op, removes, *args))
+    def _exchange(self, commands: Dict[int, Tuple[Any, ...]]) -> List[Any]:
+        """Run ``{shard: (op, *args)}`` concurrently; replies in dict order.
 
-    def _collect(self, indices: Sequence[int]) -> List[Any]:
-        """The shards' replies in order; drains them all before raising."""
-        replies: List[Any] = []
+        Each envelope takes its shard's queued removes ahead of the op.  All
+        envelopes are sent before any reply is read, and every shard a send
+        reached is read back before the first failure is raised, so no
+        reply is ever left for a later command to take as its own.
+        """
+        reached: List[_Shard] = []
         failure: Optional[ShardPoolError] = None
-        for index in indices:
+        for index, (op, *args) in commands.items():
+            removes, self._outboxes[index] = self._outboxes[index], []
+            shard = self._shards[index]
             try:
-                replies.append(self._shards[index].result())
+                shard.submit((op, removes, *args))
+                reached.append(shard)
             except ShardPoolError as exc:
-                # Keep draining the other shards so the pool stays usable,
-                # then surface the first failure.
+                failure = failure or exc
+        replies: List[Any] = []
+        for shard in reached:
+            try:
+                replies.append(shard.result())
+            except ShardPoolError as exc:
                 failure = failure or exc
         if failure is not None:
             raise failure
@@ -468,9 +462,7 @@ class ShardPool:
     def _broadcast(self, op: str) -> List[Any]:
         """Run ``op`` on every shard concurrently; replies in shard order."""
         self._check_open()
-        for index in range(self.n_shards):
-            self._send(index, op)
-        return self._collect(range(self.n_shards))
+        return self._exchange({index: (op,) for index in range(self.n_shards)})
 
     def place(self, item: Any = None) -> Tuple[int, int]:
         """Route and place one item; returns ``(shard, bin)``."""
@@ -520,17 +512,16 @@ class ShardPool:
         shards = self.router.route_batch(count, self._shard_items)
         bins = np.empty(count, dtype=np.int64)
         positions = [np.flatnonzero(shards == i) for i in range(self.n_shards)]
-        busy = [
-            i for i in range(self.n_shards)
-            if len(positions[i]) or self._outboxes[i]
-        ]
-        for shard_index in busy:
-            where = positions[shard_index]
-            shard_items = (
-                [items[p] for p in where] if items is not None else None
+        commands = {
+            i: (
+                "place_batch",
+                len(where),
+                [items[p] for p in where] if items is not None else None,
             )
-            self._send(shard_index, "place_batch", len(where), shard_items)
-        for shard_index, shard_bins in zip(busy, self._collect(busy)):
+            for i, where in enumerate(positions)
+            if len(where) or self._outboxes[i]
+        }
+        for shard_index, shard_bins in zip(commands, self._exchange(commands)):
             bins[positions[shard_index]] = shard_bins
             self._shard_items[shard_index] += len(positions[shard_index])
         self.placed += count
@@ -666,16 +657,7 @@ class ShardPool:
                     f"(manifest {entry['digest'][:12]}..., "
                     f"recomputed {digest[:12]}...); the manifest is corrupt"
                 )
-        spec_dict = manifest["spec"]
-        spec = SchemeSpec(
-            scheme=spec_dict["scheme"],
-            params=spec_dict["params"],
-            policy=spec_dict.get("policy"),
-            seed=spec_dict.get("seed"),
-            trials=spec_dict.get("trials", 1),
-            engine=spec_dict.get("engine", "auto"),
-            label=spec_dict.get("label"),
-        )
+        spec = SchemeSpec.from_dict(manifest["spec"])
         pool = cls.__new__(cls)
         pool.spec = spec
         pool.n_shards = int(manifest["n_shards"])
@@ -705,14 +687,10 @@ class ShardPool:
                 f"manifest item {exc.args[0]!r} is not tracked by its shard; "
                 f"the manifest is corrupt"
             ) from None
-        pool._outboxes = [[] for _ in range(pool.n_shards)]
-        pool._shards = pool._start_shards(
-            [{"snapshot": entry["snapshot"]} for entry in entries]
-        )
+        pool._start_shards([{"snapshot": entry["snapshot"]} for entry in entries])
         pool._shard_items = np.asarray(manifest["shard_items"], dtype=np.int64)
         pool.placed = int(manifest["placed"])
         pool.removed = int(manifest["removed"])
-        pool._closed = False
         return pool
 
     def save(self, path: Any) -> Dict[str, Any]:
@@ -738,8 +716,12 @@ class ShardPool:
         if self._closed:
             return
         self._closed = True
-        for shard, removes in zip(self._shards, self._outboxes):
-            shard.close(removes)
+        try:  # the stop envelopes carry the last queued removes
+            self._exchange({index: ("stop",) for index in range(len(self._shards))})
+        except ShardPoolError:
+            pass  # a dead shard has nothing left to stop
+        for shard in self._shards:
+            shard.join()
 
     def __enter__(self) -> "ShardPool":
         return self

@@ -160,6 +160,17 @@ class TestSpecUtilities:
             "label": "L",
         }
 
+    def test_from_dict_inverts_to_dict(self):
+        spec = SchemeSpec(
+            scheme="kd_choice", params={"n_bins": 64, "k": 1, "d": 2},
+            policy="strict", seed=5, trials=3, engine="scalar", label="L",
+        )
+        restored = SchemeSpec.from_dict(spec.to_dict())
+        assert restored == spec
+        assert restored.to_dict() == spec.to_dict()
+        bare = SchemeSpec.from_dict({"scheme": "two_choice", "params": {}})
+        assert bare == SchemeSpec(scheme="two_choice")
+
     def test_explicit_rng_is_used(self):
         rng = np.random.default_rng(0)
         spec = SchemeSpec(

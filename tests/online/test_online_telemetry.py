@@ -1,4 +1,4 @@
-"""LoadTelemetry: O(1) updates, lazy max, sampling cadence, bounded ring."""
+"""LoadTelemetry: O(1) updates, sampling cadence, bounded ring."""
 
 from __future__ import annotations
 
@@ -20,33 +20,16 @@ class FakeClock:
 class TestCounters:
     def test_place_and_remove_counts(self):
         telemetry = LoadTelemetry(sample_every=1000)
-        loads = np.zeros(4, dtype=np.int64)
-        loads[1] = 3
-        telemetry.record_place(1, 3)
-        telemetry.record_place(2, 1)
-        telemetry.record_remove(1, 3)
+        telemetry.record_place(1)
+        telemetry.record_place(2)
+        telemetry.record_remove(1)
         assert telemetry.placements == 2
         assert telemetry.removals == 1
 
-    def test_max_tracks_increments_incrementally(self):
+    def test_block_ingestion_counts_placements(self):
         telemetry = LoadTelemetry()
-        loads = np.array([0, 2, 1], dtype=np.int64)
-        telemetry.record_place(1, 2)
-        assert telemetry.max_load(loads) == 2
-
-    def test_max_recomputes_after_removal_of_the_maximum(self):
-        telemetry = LoadTelemetry()
-        loads = np.array([1, 1, 0], dtype=np.int64)
-        telemetry.record_place(0, 2)  # max believed 2
-        telemetry.record_remove(0, 2)  # the max ball left
-        assert telemetry.max_load(loads) == 1  # lazy recompute from loads
-
-    def test_block_ingestion_marks_max_dirty(self):
-        telemetry = LoadTelemetry()
-        loads = np.array([5, 1], dtype=np.int64)
         telemetry.record_block(6)
         assert telemetry.placements == 6
-        assert telemetry.max_load(loads) == 5
 
 
 class TestSampling:
@@ -56,7 +39,7 @@ class TestSampling:
         loads = np.zeros(8, dtype=np.int64)
         for event in range(100):
             clock.now += 0.001
-            telemetry.record_place(event % 8, 1)
+            telemetry.record_place(event % 8)
             telemetry.maybe_sample(loads)
         assert telemetry.samples_taken == 10
         assert len(telemetry.history()) == 3  # ring keeps the newest 3
@@ -67,7 +50,7 @@ class TestSampling:
         telemetry = LoadTelemetry(sample_every=4, clock=clock)
         loads = np.array([0, 1, 2, 1], dtype=np.int64)
         for bin_index in (1, 2, 2, 3):
-            telemetry.record_place(bin_index, int(loads[bin_index]))
+            telemetry.record_place(bin_index)
         clock.now = 2.0
         sample = telemetry.maybe_sample(loads)
         assert sample is not None
@@ -81,7 +64,7 @@ class TestSampling:
 
     def test_not_due_returns_none(self):
         telemetry = LoadTelemetry(sample_every=100)
-        telemetry.record_place(0, 1)
+        telemetry.record_place(0)
         assert telemetry.maybe_sample(np.zeros(2, dtype=np.int64)) is None
 
     def test_validation(self):
@@ -236,7 +219,7 @@ class TestTenantCounters:
 
     def test_no_tenants_means_no_tenant_section(self):
         telemetry = LoadTelemetry()
-        telemetry.record_place(0, 1)
+        telemetry.record_place(0)
         assert not telemetry.has_tenants
         assert "tenants" not in telemetry.counters()
         assert telemetry.tenant_fairness() == 1.0

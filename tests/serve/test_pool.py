@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -202,6 +204,21 @@ class TestManifests:
         with pytest.raises(ShardPoolError, match="'ghost' is not tracked"):
             ShardPool.restore(manifest)
 
+    def test_shard_that_cannot_restore_fails_to_start(self, mode):
+        with ShardPool(kd_spec(), 2, mode=mode) as pool:
+            pool.place_batch(20)
+            manifest = pool.snapshot()
+        entry = manifest["shards"][1]
+        entry["snapshot"]["version"] = 999
+        entry["digest"] = snapshot_digest(entry["snapshot"])
+        with pytest.raises(ShardPoolError, match="shard 1 failed to start"):
+            ShardPool.restore(manifest, mode=mode)
+        workers = threading.enumerate() + multiprocessing.active_children()
+        assert not [
+            worker.name for worker in workers
+            if worker.name.startswith("repro-serve-shard-")
+        ]
+
     def test_wrong_format_and_version_rejected(self):
         with ShardPool(kd_spec(), 2, mode="thread") as pool:
             manifest = pool.snapshot()
@@ -378,10 +395,12 @@ class TestQueuedRemoves:
             assert sorted(index for index, _ in sent) == [0, 1]
             assert dict(sent)[1] == ("place_batch", victims, 0, [])
             assert dict(sent)[0] == ("place_batch", [], 1, ["fresh"])
-            assert pool._shards[1].server.allocator.removed == len(victims)
+            assert pool.summary()["shards"][1]["removed"] == len(victims)
             pool.check_invariants()
 
-    def test_every_command_carries_the_queued_removes(self, mode):
+    def test_every_command_carries_the_queued_removes(
+        self, mode, monkeypatch
+    ):
         with ShardPool(kd_spec(), 2, mode=mode) as pool:
             pool.place_batch(20, items=[f"i{n}" for n in range(20)])
             commands = [
@@ -394,23 +413,39 @@ class TestQueuedRemoves:
                 assert not any(pool._outboxes)
             removals = [c["removals"] for c in pool.telemetry_counters()]
             assert sum(removals) == len(commands)
-            pool.remove("i0")
+            last, _ = pool.remove("i0")
+            sent = []
+            for shard in pool._shards:
+                def spied(message, shard=shard, submit=shard.submit):
+                    sent.append((shard.index, message))
+                    submit(message)
+                monkeypatch.setattr(shard, "submit", spied)
+            applied = []
+            remove = OnlineAllocator.remove
+
+            def counted(allocator, item):
+                bin_index = remove(allocator, item)
+                applied.append(item)
+                return bin_index
+
+            monkeypatch.setattr(OnlineAllocator, "remove", counted)
             pool.close()  # the stop command carries the last remove
-            if mode == "thread":
-                assert sum(
-                    shard.server.allocator.removed for shard in pool._shards
-                ) == len(commands) + 1
+            assert dict(sent) == {
+                index: ("stop", ["i0"] if index == last else [])
+                for index in range(2)
+            }
+            if mode == "thread":  # the worker applied it before stopping
+                assert applied == ["i0"]
 
     def test_rejected_queued_remove_fails_its_carrier(self, monkeypatch):
         with ShardPool(kd_spec(), 2, mode="thread") as pool:
             pool.place_batch(10, items=[f"i{n}" for n in range(10)])
             shard, _ = pool.remove("i3")
 
-            def refuse(item):
+            def refuse(allocator, item):
                 raise RuntimeError("refused")
 
-            allocator = pool._shards[shard].server.allocator
-            monkeypatch.setattr(allocator, "remove", refuse)
+            monkeypatch.setattr(OnlineAllocator, "remove", refuse)
             with pytest.raises(
                 ShardPoolError, match=rf"shard {shard}: .*'i3'.*refused"
             ):
@@ -425,8 +460,25 @@ class TestQueuedRemoves:
         with ShardPool(kd_spec(), 2, mode="process") as pool:
             pool.place_batch(10, items=[f"i{n}" for n in range(10)])
             shard, _ = pool.remove("i0")
-            process = pool._shards[shard]._process
+            process = pool._shards[shard].worker
             os.kill(process.pid, signal.SIGKILL)
             process.join(timeout=10)
             with pytest.raises(ShardPoolError, match=f"shard {shard} died"):
                 pool.summary()
+
+    def test_a_dead_shard_leaves_no_reply_unread(self):
+        """A failed send must not strand the replies of the shards before it."""
+        with ShardPool(kd_spec(), 3, mode="process") as pool:
+            pool.place_batch(30)
+            process = pool._shards[1].worker
+            os.kill(process.pid, signal.SIGKILL)
+            process.join(timeout=10)
+            with pytest.raises(ShardPoolError, match="shard 1 died"):
+                pool.summary()
+            with pytest.raises(ShardPoolError, match="shard 1 died"):
+                pool.bin_loads()
+            for index in (0, 2):
+                shard = pool._shards[index]
+                shard.submit(("loads", []))
+                assert isinstance(shard.result(), np.ndarray)
+
