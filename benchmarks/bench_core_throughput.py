@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.api import get_scheme
@@ -26,6 +27,7 @@ from repro.core.baselines import (
     run_one_plus_beta,
     run_single_choice,
 )
+from repro.core.compiled import backend_unavailable_reason
 from repro.core.dynamic import run_churn_kd_choice
 from repro.core.process import run_kd_choice
 from repro.core.stale import run_stale_kd_choice
@@ -178,6 +180,30 @@ class TestFamilySpeedups:
                 n_bins=ENGINE_N, k=4, d=8, stale_rounds=8, seed=0
             ),
             minimum=3.0,
+        )
+
+    def test_stale_compiled_over_vectorized(self, benchmark):
+        # Compiled mode runs whole stale epochs in one C call; the per-epoch
+        # draws it keeps (the scalar stream order) bound the ratio.
+        reason = backend_unavailable_reason()
+        if reason is not None:
+            pytest.skip(f"compiled backend unavailable: {reason}")
+        info = get_scheme("stale_kd_choice")
+        params = dict(n_bins=ENGINE_N, k=4, d=8, stale_rounds=8, seed=0)
+        speedup, vectorized_time, compiled_time = _measure_speedup(
+            lambda: info.vectorized(**params),
+            lambda: info.compiled(**params),
+            minimum=2.0,
+        )
+        benchmark.extra_info["vectorized_seconds"] = round(vectorized_time, 4)
+        benchmark.extra_info["compiled_seconds"] = round(compiled_time, 4)
+        benchmark.extra_info["speedup"] = round(speedup, 2)
+        result = benchmark(info.compiled, **params)
+        assert np.array_equal(result.loads, info.vectorized(**params).loads)
+        assert speedup >= 2.0, (
+            f"stale_kd_choice: compiled only {speedup:.2f}x faster than "
+            f"vectorized (needs >= 2.0x; vectorized {vectorized_time:.3f}s, "
+            f"compiled {compiled_time:.3f}s)"
         )
 
     def test_churn_family_speedup(self, benchmark):

@@ -30,6 +30,7 @@ __all__ = [
     "load_backend",
     "kd_rounds",
     "select_rows",
+    "stale_epochs",
     "weighted_rounds",
     "one_plus_beta",
     "always_go_left",
@@ -103,26 +104,52 @@ def kd_rounds(
     return out
 
 
-def select_rows(
-    snapshot: np.ndarray, samples: np.ndarray, ties: np.ndarray, k: int
+def stale_epochs(
+    loads: np.ndarray,
+    samples: np.ndarray,
+    ties: np.ndarray,
+    k: int,
+    epoch_rounds: int,
+    commit: bool = True,
 ) -> np.ndarray:
-    """Strict selection of every row against one frozen snapshot (stale
-    epochs).  No mutation; returns ``(r, k)`` in ball order."""
+    """Strict stale-information epochs of ``epoch_rounds`` rows each.
+
+    Every row of an epoch is selected against ``loads`` as of the epoch
+    start; with ``commit`` each epoch's placements are added to ``loads``
+    in place at its end, exactly like the scalar epoch loop.  Without it
+    ``loads`` is a read-only snapshot.  Returns ``(rows, k)`` in ball order.
+    """
     ffi, lib = load_backend()
-    snapshot = _in_i64(snapshot)
+    loads = _mutable(loads, np.int64) if commit else _in_i64(loads)
     samples = _in_i64(samples)
     ties = _in_f64(ties)
-    r, d = _round_shape(samples, ties, k)
-    out = np.empty((r, k), dtype=np.int64)
-    status = lib.repro_select_rows(
-        _ptr(ffi, "const int64_t *", snapshot),
+    rows, d = _round_shape(samples, ties, k)
+    if epoch_rounds < 1 or rows % epoch_rounds:
+        raise ValueError(
+            f"stale epochs need whole epochs of epoch_rounds >= 1 rows; got "
+            f"{rows} rows and epoch_rounds={epoch_rounds}"
+        )
+    out = np.empty((rows, k), dtype=np.int64)
+    status = lib.repro_stale_epochs(
+        _ptr(ffi, "int64_t *", loads),
         _ptr(ffi, "const int64_t *", samples),
         _ptr(ffi, "const double *", ties),
-        r, d, k,
+        rows // epoch_rounds, epoch_rounds, d, k, int(commit),
         _ptr(ffi, "int64_t *", out),
     )
     _check_scratch(status, d)
     return out
+
+
+def select_rows(
+    snapshot: np.ndarray, samples: np.ndarray, ties: np.ndarray, k: int
+) -> np.ndarray:
+    """Strict selection of every row against one frozen snapshot (the rest
+    of a stale epoch under way): one uncommitted :func:`stale_epochs` epoch.
+    No mutation; returns ``(r, k)`` in ball order."""
+    return stale_epochs(
+        snapshot, samples, ties, k, max(len(samples), 1), commit=False
+    )
 
 
 def weighted_rounds(

@@ -44,9 +44,9 @@ _CDEF = """
 int repro_kd_rounds(int64_t *loads, const int64_t *samples,
                     const double *ties, int64_t r, int64_t d, int64_t k,
                     int64_t *out);
-int repro_select_rows(const int64_t *snapshot, const int64_t *samples,
-                      const double *ties, int64_t r, int64_t d, int64_t k,
-                      int64_t *out);
+int repro_stale_epochs(int64_t *loads, const int64_t *samples,
+                       const double *ties, int64_t epochs, int64_t r,
+                       int64_t d, int64_t k, int commit, int64_t *out);
 int repro_weighted_rounds(double *loads, int64_t *counts,
                           const int64_t *samples, const double *ties,
                           const double *weights, const double *increments,
@@ -98,8 +98,23 @@ def _cache_dir() -> Path:
     return base / "repro-compiled"
 
 
-def _source_tag(source: str) -> str:
-    payload = f"{sys.implementation.cache_tag}\n{source}".encode()
+#: Compiler flags of the shared object.  ``-ffp-contract=off`` keeps the
+#: compiler from fusing ``a + b * c`` into one FMA (the default on aarch64),
+#: which rounds once where NumPy rounds the product first: the weighted
+#: round's heights must match ``core/weighted.py`` bit for bit.
+_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _compile_command(compiler: str, source: str, out: str) -> list[str]:
+    return [compiler, *_CFLAGS, "-o", out, source]
+
+
+def _source_tag(source: str, compiler: str) -> str:
+    """Cache key of the built object: the source and the compile command,
+    so a changed flag or compiler rebuilds instead of loading a stale
+    ``.so``."""
+    command = " ".join(_compile_command(compiler, _SOURCE.name, "-"))
+    payload = f"{sys.implementation.cache_tag}\n{command}\n{source}".encode()
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
@@ -108,9 +123,11 @@ def _build(compiler: str, source_path: Path, out_path: Path) -> None:
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(out_path.parent))
     os.close(fd)
     try:
-        cmd = [compiler, "-O3", "-shared", "-fPIC", "-o", tmp, str(source_path)]
         proc = subprocess.run(
-            cmd, capture_output=True, text=True, timeout=120
+            _compile_command(compiler, str(source_path), tmp),
+            capture_output=True,
+            text=True,
+            timeout=120,
         )
         if proc.returncode != 0:
             detail = (proc.stderr or proc.stdout or "").strip()
@@ -144,7 +161,7 @@ def _load_locked() -> tuple[object, object]:
                 "no C compiler found (set REPRO_CC or install cc/gcc/clang)"
             )
         source = _SOURCE.read_text(encoding="utf-8")
-        lib_path = _cache_dir() / f"repro_kernels_{_source_tag(source)}.so"
+        lib_path = _cache_dir() / f"repro_kernels_{_source_tag(source, compiler)}.so"
         if not lib_path.exists():
             _build(compiler, _SOURCE, lib_path)
         ffi = cffi.FFI()

@@ -313,20 +313,32 @@ int repro_kd_rounds(int64_t *loads, const int64_t *samples,
     return 0;
 }
 
-/* Strict selection of every row against one immutable load snapshot (the
- * stale-information epochs): no placements are applied here.  `out` is
- * (r, k) in ball order. */
-int repro_select_rows(const int64_t *snapshot, const int64_t *samples,
-                      const double *ties, int64_t r, int64_t d, int64_t k,
-                      int64_t *out)
+/* Stale-information epochs: `epochs` consecutive blocks of `r` rows.  Every
+ * row of an epoch is selected against `loads` as they stood at the epoch
+ * start; with `commit` set, the epoch's placements are added to `loads` at
+ * its end, before the next epoch's rows are selected.  Without it `loads`
+ * is only read: one frozen snapshot (the rest of an epoch already under
+ * way, whose placements its owner commits).  `out` is (epochs * r, k) in
+ * ball order. */
+int repro_stale_epochs(int64_t *loads, const int64_t *samples,
+                       const double *ties, int64_t epochs, int64_t r,
+                       int64_t d, int64_t k, int commit, int64_t *out)
 {
     Scratch s;
     if (scratch_init(&s, d, k, 0) != 0) {
         return -1;
     }
-    for (int64_t row = 0; row < r; row++) {
-        strict_round(&s, snapshot, samples + row * d, ties + row * d, d, k,
-                     out + row * k);
+    for (int64_t first = 0; first < epochs * r; first += r) {
+        for (int64_t row = first; row < first + r; row++) {
+            strict_round(&s, loads, samples + row * d, ties + row * d, d, k,
+                         out + row * k);
+        }
+        if (commit) {
+            const int64_t *dest = out + first * k;
+            for (int64_t j = 0; j < r * k; j++) {
+                loads[dest[j]] += 1;
+            }
+        }
     }
     free(s.block);
     return 0;

@@ -10,10 +10,19 @@ Per-unit apply: one round probing the epoch-start snapshot; placements
 commit when the epoch's last round has been emitted.  Because placements
 are deferred, the snapshot *is* ``loads`` until a committed ball is removed
 mid-epoch (``remove_ball`` copies it first), so an epoch costs nothing
-proportional to ``n_bins``.  Batched apply: whole epochs are the kernel's
-best case — every round probes the same snapshot, so an epoch's full rounds
-resolve in one :func:`~repro.core.batched.strict_select_rows` call (rounds
-that sample a bin twice included).
+proportional to ``n_bins``.
+
+Batched apply: every round of an epoch probes the same snapshot.  In
+compiled mode a block that starts at an epoch boundary covers whole full
+epochs (up to ``_DEFAULT_CHUNK_ROUNDS`` rows): their blocks are drawn epoch
+by epoch in the scalar order, then one
+:func:`~repro.core.compiled.stale_epochs` call selects each epoch's rows
+against the loads as of its start and commits its placements at its end.
+The rest — an epoch already under way (say, after a mid-epoch removal),
+the final epoch, ``k == d`` and the NumPy mode — runs one epoch per call:
+its full rounds resolve against the snapshot in one
+:func:`~repro.core.batched.strict_select_rows` (or uncommitted compiled)
+call, rounds that sample a bin twice included.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ import numpy as np
 from ..baselines import _make_rng
 from ..batched import strict_select_rows
 from ..policies import get_policy, strict_select
+from ..process import _DEFAULT_CHUNK_ROUNDS
 from ..types import ProcessParams
 from .base import _PLACED, OnlineStepper
 
@@ -167,10 +177,41 @@ class StaleKDChoiceStepper(OnlineStepper):
             )
         return self._finish_round(destinations, batch)
 
+    def _step_epochs(self, max_balls: int) -> Optional[np.ndarray]:
+        """Whole full epochs in one C call (compiled mode, at an epoch
+        boundary); ``None`` when not even one fits in ``max_balls``."""
+        from repro.core import compiled
+
+        r, k, d = self.stale_rounds, self.k, self.d
+        budget = min(max_balls, self.planned_balls - self.balls_emitted)
+        epochs = min(budget // (r * k), _DEFAULT_CHUNK_ROUNDS // r)
+        if epochs == 0:
+            return None
+        samples = np.empty((epochs * r, d), dtype=np.int64)
+        ties = np.empty((epochs * r, d))
+        # Epoch by epoch, samples then ties, as _begin_epoch draws them:
+        # that interleaving is the scalar stream.
+        for start in range(0, epochs * r, r):
+            samples[start : start + r] = self.rng.integers(
+                0, self.n_bins, size=(r, d)
+            )
+            self.rng.random(out=ties[start : start + r])
+        destinations = compiled.stale_epochs(self.loads, samples, ties, k, r)
+        # The state the per-epoch path leaves after an epoch's last round.
+        self._epoch_pos = r
+        self.rounds += epochs * r
+        self.messages += epochs * r * d
+        self.balls_emitted += epochs * r * k
+        return destinations.reshape(-1) if self._capture else _PLACED
+
     def step_block(self, max_balls: int) -> Optional[np.ndarray]:
         if self.policy.name != "strict":
             return None
         if self._epoch_rows is None:
+            if self.kernel_mode == "compiled" and self.k < self.d:
+                block = self._step_epochs(max_balls)
+                if block is not None:
+                    return block
             if max_balls < min(self.k, self.planned_balls - self.balls_emitted):
                 return None
             self._begin_epoch()

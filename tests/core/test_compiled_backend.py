@@ -13,6 +13,8 @@ call, so monkeypatching works without reloading modules).
 
 from __future__ import annotations
 
+import subprocess
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,40 @@ class TestCapabilityGuards:
         stepper = KDChoiceStepper(n_bins=16, k=1, d=2, n_balls=16, seed=0)
         with pytest.raises(ValueError, match="kernel_mode"):
             stepper.set_kernel_mode("turbo")
+
+
+class TestBuildCommand:
+    def test_build_turns_fp_contraction_off(self, monkeypatch, tmp_path):
+        # Fused multiply-adds would round the weighted heights once where
+        # NumPy rounds the product first.
+        from repro.core.compiled import _backend
+
+        commands = []
+
+        def fake_run(command, **kwargs):
+            commands.append(command)
+            return subprocess.CompletedProcess(command, 0, "", "")
+
+        monkeypatch.setattr(_backend.subprocess, "run", fake_run)
+        _backend._build("cc", _backend._SOURCE, tmp_path / "kernels.so")
+        (command,) = commands
+        assert command[0] == "cc"
+        assert "-ffp-contract=off" in command
+        assert (tmp_path / "kernels.so").exists()
+
+    def test_cache_tag_follows_the_compile_command(self, monkeypatch):
+        from repro.core.compiled import _backend
+
+        tag = _backend._source_tag("int x;", "cc")
+        assert _backend._source_tag("int x;", "cc") == tag
+        assert _backend._source_tag("int y;", "cc") != tag
+        assert _backend._source_tag("int x;", "clang") != tag
+        monkeypatch.setattr(
+            _backend,
+            "_CFLAGS",
+            tuple(f for f in _backend._CFLAGS if f != "-ffp-contract=off"),
+        )
+        assert _backend._source_tag("int x;", "cc") != tag
 
 
 @pytest.mark.skipif(

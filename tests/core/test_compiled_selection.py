@@ -5,7 +5,9 @@ state).  These tests pin the selection itself: every row's destinations,
 in ball order, for rows crowded with duplicate bins and bit-equal
 tie-breaks, at probe widths on both sides of the C kernels' small-d
 crossover (pairwise copy scan and insertion sort up to 32 probes, bin
-table and bounded heap above).
+table and bounded heap above).  The stale-epoch kernel is checked against
+the scalar epoch rule: rows select against the epoch-start loads, and
+each epoch's placements land at its end.
 """
 
 from __future__ import annotations
@@ -41,12 +43,12 @@ CASES = list(_cases())
 IDS = [f"n{n}-d{d}-k{k}" for n, d, k in CASES]
 
 
-def _rows(n_bins, d, seed):
+def _rows(n_bins, d, seed, rows=ROWS):
     """Duplicate-heavy samples and ties; odd rows draw ties from two values
     (row 1 from one), so many slots tie bit for bit."""
     rng = np.random.default_rng(seed)
-    samples = rng.integers(0, n_bins, size=(ROWS, d))
-    ties = rng.random((ROWS, d))
+    samples = rng.integers(0, n_bins, size=(rows, d))
+    ties = rng.random((rows, d))
     ties[1] = 0.5
     ties[3::2] = rng.choice([0.25, 0.75], size=ties[3::2].shape)
     loads = rng.integers(0, 3, size=n_bins).astype(np.int64)
@@ -79,6 +81,55 @@ def test_select_rows_match_strict_select(n_bins, d, k):
     out = compiled.select_rows(snapshot, samples, ties, k)
     assert out.tolist() == expected
     assert np.array_equal(snapshot, before)
+
+
+EPOCHS = 4
+EPOCH_CASES = [
+    (n_bins, d, k, r)
+    for n_bins in (3, 40)
+    for d in (2, 9, 33, 193)
+    for k in sorted({1, d // 2, d - 1})
+    for r in (1, 5)
+]
+EPOCH_IDS = [f"n{n}-d{d}-k{k}-r{r}" for n, d, k, r in EPOCH_CASES]
+
+
+@pytest.mark.parametrize("n_bins,d,k,r", EPOCH_CASES, ids=EPOCH_IDS)
+def test_stale_epochs_match_per_epoch_reference(n_bins, d, k, r):
+    samples, ties, loads = _rows(
+        n_bins, d, seed=n_bins * 1000 + d * 10 + k + r, rows=EPOCHS * r
+    )
+    # Per epoch: every row against the epoch-start loads, then one commit.
+    expected_loads = loads.copy()
+    expected = []
+    for first in range(0, EPOCHS * r, r):
+        snapshot = expected_loads.copy()
+        epoch = [
+            strict_select(snapshot, row.tolist(), k, tie)
+            for row, tie in zip(samples[first : first + r], ties[first : first + r])
+        ]
+        np.add.at(expected_loads, np.asarray(epoch).reshape(-1), 1)
+        expected.extend(epoch)
+    out = compiled.stale_epochs(loads, samples, ties, k, r)
+    assert out.tolist() == expected
+    assert np.array_equal(loads, expected_loads)
+
+
+def test_stale_epochs_reject_bad_shapes():
+    loads = np.zeros(8, dtype=np.int64)
+    samples = np.zeros((6, 3), dtype=np.int64)
+    ties = np.zeros((6, 3))
+    with pytest.raises(ValueError, match="whole epochs"):
+        compiled.stale_epochs(loads, samples, ties, 2, 4)
+    with pytest.raises(ValueError, match="whole epochs"):
+        compiled.stale_epochs(loads, samples, ties, 2, 0)
+    with pytest.raises(ValueError, match="ties shaped like samples"):
+        compiled.stale_epochs(loads, samples, np.zeros((6, 2)), 2, 3)
+    with pytest.raises(ValueError, match="1 <= k <= d"):
+        compiled.stale_epochs(loads, samples, ties, 4, 3)
+    with pytest.raises(TypeError, match="in place"):
+        compiled.stale_epochs(loads.astype(np.int32), samples, ties, 2, 3)
+    assert not loads.any()
 
 
 @pytest.mark.parametrize("n_bins,d,k", CASES, ids=IDS)

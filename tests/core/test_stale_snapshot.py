@@ -157,3 +157,102 @@ def test_mid_epoch_snapshot_restore_resumes_bit_identically(remove_first):
     assert got == expected
     assert np.array_equal(resumed.loads, unbroken.loads)
     assert resumed.snapshot()["stepper"] == unbroken.snapshot()["stepper"]
+
+
+# ---------------------------------------------------------------------------
+# Compiled mode against NumPy mode.  In compiled mode a block that starts at
+# an epoch boundary runs whole epochs in one C call; everything else runs
+# one epoch per call, as in NumPy mode.  Both must agree bit for bit.
+# ---------------------------------------------------------------------------
+
+#: Ends in a partial round; 600-epoch blocks cross the 4096-row block cap.
+EPOCH_PARAMS = {"n_bins": 96, "k": 3, "d": 7, "stale_rounds": 8, "n_balls": 32_000}
+EPOCH_BALLS = EPOCH_PARAMS["k"] * EPOCH_PARAMS["stale_rounds"]
+
+
+def _modes(seed):
+    if backend_unavailable_reason() is not None:
+        pytest.skip(f"compiled backend unavailable: {backend_unavailable_reason()}")
+    numpy_mode = StaleKDChoiceStepper(seed=seed, **EPOCH_PARAMS)
+    compiled_mode = StaleKDChoiceStepper(seed=seed, **EPOCH_PARAMS)
+    compiled_mode.set_kernel_mode("compiled")
+    return numpy_mode, compiled_mode
+
+
+def _place(stepper, balls, max_balls):
+    """Place at least ``balls`` more balls (or to the end of the stream) by
+    ``step_block(max_balls)``, stepping where no block applies."""
+    target = min(stepper.balls_emitted + balls, stepper.planned_balls)
+    destinations = []
+    while stepper.balls_emitted < target:
+        block = stepper.step_block(min(max_balls, target - stepper.balls_emitted))
+        destinations.extend(stepper.step() if block is None else block.tolist())
+    return destinations
+
+
+def _assert_same_state(numpy_mode, compiled_mode):
+    assert np.array_equal(numpy_mode.loads, compiled_mode.loads)
+    assert (numpy_mode.rounds, numpy_mode.messages, numpy_mode.balls_emitted) == (
+        compiled_mode.rounds, compiled_mode.messages, compiled_mode.balls_emitted
+    )
+    assert numpy_mode.rng.bit_generator.state == compiled_mode.rng.bit_generator.state
+    assert numpy_mode.state_dict() == compiled_mode.state_dict()
+
+
+@pytest.mark.parametrize("epochs", [0.5, 1, 3.7, 600])
+def test_compiled_epoch_blocks_match_numpy_mode(epochs):
+    numpy_mode, compiled_mode = _modes(seed=21)
+    max_balls = int(epochs * EPOCH_BALLS)
+    while not compiled_mode.exhausted:
+        assert _place(compiled_mode, max_balls, max_balls) == _place(
+            numpy_mode, max_balls, max_balls
+        )
+        _assert_same_state(numpy_mode, compiled_mode)
+    assert numpy_mode.exhausted
+
+
+def test_compiled_epoch_block_stops_at_the_row_cap():
+    _, compiled_mode = _modes(seed=21)
+    block = compiled_mode.step_block(600 * EPOCH_BALLS)
+    # 4096 rows: 512 whole epochs of 8 rounds.
+    assert len(block) == 4096 * EPOCH_PARAMS["k"]
+    assert compiled_mode.rounds == 4096 and compiled_mode._epoch_rows is None
+
+
+@pytest.mark.parametrize("removed", ["committed", "pending"])
+def test_compiled_epoch_blocks_after_a_mid_epoch_removal(removed):
+    numpy_mode, compiled_mode = _modes(seed=22)
+    script = np.random.default_rng(7)
+    for call in range(6):
+        # 2.5 epochs, then 3 a call: the rest of the current epoch and the
+        # last half epoch per-epoch, whole epochs in C, so every removal
+        # lands mid-epoch and the block after it starts mid-epoch.
+        balls = int(2.5 * EPOCH_BALLS) if call == 0 else 3 * EPOCH_BALLS
+        assert _place(compiled_mode, balls, balls) == _place(numpy_mode, balls, balls)
+        assert compiled_mode._epoch_pos == EPOCH_PARAMS["stale_rounds"] // 2
+        if removed == "committed":
+            bin_index = int(script.choice(np.flatnonzero(compiled_mode.loads)))
+        else:
+            bin_index = int(script.choice(compiled_mode._epoch_pending))
+        numpy_mode.remove_ball(bin_index)
+        compiled_mode.remove_ball(bin_index)
+        _assert_same_state(numpy_mode, compiled_mode)
+    while not compiled_mode.exhausted:
+        assert _place(compiled_mode, 40 * EPOCH_BALLS, 40 * EPOCH_BALLS) == _place(
+            numpy_mode, 40 * EPOCH_BALLS, 40 * EPOCH_BALLS
+        )
+    _assert_same_state(numpy_mode, compiled_mode)
+
+
+@pytest.mark.parametrize("stop", [5 * EPOCH_BALLS, int(5.5 * EPOCH_BALLS)])
+def test_compiled_epoch_blocks_restore_mid_stream(stop):
+    numpy_mode, compiled_mode = _modes(seed=23)
+    max_balls = 200 * EPOCH_BALLS
+    assert _place(compiled_mode, stop, max_balls) == _place(numpy_mode, stop, max_balls)
+    resumed = StaleKDChoiceStepper(seed=0, **EPOCH_PARAMS)
+    resumed.load_state(json.loads(json.dumps(compiled_mode.state_dict())))
+    resumed.set_kernel_mode("compiled")
+    assert _place(resumed, EPOCH_PARAMS["n_balls"], max_balls) == _place(
+        numpy_mode, EPOCH_PARAMS["n_balls"], max_balls
+    )
+    _assert_same_state(numpy_mode, resumed)
