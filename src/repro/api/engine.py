@@ -58,8 +58,10 @@ def resolve_engine(spec: SchemeSpec, info: Optional[SchemeInfo] = None) -> str:
     """Decide which engine a spec runs on ("scalar", "vectorized" or
     "compiled").
 
-    The engines are seed-for-seed identical, so ``engine="auto"`` is purely
-    a performance decision: the compiled engine wherever its fast path
+    The one engine rule: ``simulate``, the online allocator (and so trace
+    replay) and the serve pool all take their engine from here.  The
+    engines are seed-for-seed identical, so ``engine="auto"`` is purely a
+    performance decision: the compiled engine wherever its fast path
     applies (scheme coverage, parameters, and a C backend that builds
     here), else the vectorized engine inside its fast-path envelope, else
     the scalar reference.  ``REPRO_KERNEL=scalar`` pins ``auto`` to the

@@ -20,8 +20,8 @@ The registry stores, per scheme:
 
 A kernel-backed scheme (``register(..., kernel=KERNELS[name])``) gets its
 batch engines, stepper factory and guards from its
-:class:`~repro.core.kernels.table.Kernel`: the engines are the ``"numpy"``
-and ``"compiled"`` modes of one function,
+:class:`~repro.core.kernels.table.Kernel`: the engines are the
+``"vectorized"`` and ``"compiled"`` modes of one function,
 :func:`~repro.core.kernels.table.drive`.
 """
 

@@ -211,7 +211,7 @@ def run_always_go_left(
         from .kernels.table import KERNELS, drive
 
         result = drive(
-            KERNELS["always_go_left"], "numpy",
+            KERNELS["always_go_left"], "vectorized",
             n_bins=n_bins, d=d, n_balls=n_balls, seed=seed, rng=rng,
             capacities=capacities,
         )

@@ -239,13 +239,14 @@ class OnlineStepper:
     _STATE_ARRAYS: Tuple[str, ...] = ("loads",)
     _STATE_LISTS: Tuple[str, ...] = ()
 
-    #: How ``step_block`` applies placements: ``"numpy"`` (the vectorized
+    #: How ``step_block`` applies placements: ``"vectorized"`` (the NumPy
     #: batch kernels) or ``"compiled"`` (the sequential C replay loops of
-    #: :mod:`repro.core.compiled`).  Both consume the identical RNG blocks
-    #: and produce identical state — this is a *speed* mode, not state, so
-    #: it is deliberately absent from ``state_dict`` and re-resolved from
-    #: the spec/environment whenever a stepper is (re)constructed.
-    kernel_mode: str = "numpy"
+    #: :mod:`repro.core.compiled`), named as ``resolve_engine`` names the
+    #: engines.  Both consume the identical RNG blocks and produce
+    #: identical state — this is a *speed* mode, not state, so it is
+    #: deliberately absent from ``state_dict`` and re-resolved from the
+    #: spec/environment whenever a stepper is (re)constructed.
+    kernel_mode: str = "vectorized"
 
     #: Balls per round as :meth:`result` reports it (the per-ball kernels
     #: keep one-ball rounds).
@@ -299,15 +300,15 @@ class OnlineStepper:
         return None
 
     def set_kernel_mode(self, mode: str) -> None:
-        """Select the block-apply backend (``"numpy"`` or ``"compiled"``).
+        """Select the block-apply engine (``"vectorized"`` or ``"compiled"``).
 
         ``"compiled"`` requires the C backend; raises
         :class:`~repro.core.compiled.CompiledUnavailable` with the guard
         reason when it cannot load — callers decide whether to degrade.
         """
-        if mode not in ("numpy", "compiled"):
+        if mode not in ("vectorized", "compiled"):
             raise ValueError(
-                f"kernel_mode must be 'numpy' or 'compiled', got {mode!r}"
+                f"kernel_mode must be 'vectorized' or 'compiled', got {mode!r}"
             )
         if mode == "compiled":
             from repro.core.compiled import load_backend
@@ -403,8 +404,8 @@ def run_to_completion(
     cleared for the duration so block kernels can skip per-ball destination
     ordering nobody will read.
 
-    ``kernel_mode`` optionally selects the block-apply backend first
-    (``"numpy"`` or ``"compiled"``).
+    ``kernel_mode`` optionally selects the block-apply engine first
+    (``"vectorized"`` or ``"compiled"``).
     """
     if kernel_mode is not None:
         stepper.set_kernel_mode(kernel_mode)

@@ -19,8 +19,8 @@ by epoch in the scalar order, then one
 :func:`~repro.core.compiled.stale_epochs` call selects each epoch's rows
 against the loads as of its start and commits its placements at its end.
 The rest — an epoch already under way (say, after a mid-epoch removal),
-the final epoch, ``k == d`` and the NumPy mode — runs one epoch per call:
-its full rounds resolve against the snapshot in one
+the final epoch, ``k == d`` and the vectorized mode — runs one epoch per
+call: its full rounds resolve against the snapshot in one
 :func:`~repro.core.batched.strict_select_rows` (or uncommitted compiled)
 call, rounds that sample a bin twice included.
 """

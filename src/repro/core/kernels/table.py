@@ -8,9 +8,9 @@ it) and its guards.  The engine surfaces are *derived* from that single
 registration:
 
 * the **online** surface is the stepper factory itself;
-* the **vectorized** and **compiled** surfaces are the ``"numpy"`` and
-  ``"compiled"`` modes of :func:`drive`: build the stepper, run it to the
-  end of its planned stream, report ``stepper.result()``.  Because the
+* the **vectorized** and **compiled** surfaces are the ``"vectorized"``
+  and ``"compiled"`` modes of :func:`drive`: build the stepper, run it to
+  the end of its planned stream, report ``stepper.result()``.  Because the
   stepper consumes the scalar reference's RNG blocks, the result is
   seed-for-seed identical to it (``tests/core/test_engine_equivalence.py``
   and ``tests/online`` lock this down).
@@ -71,22 +71,21 @@ GREEDY_FASTPATH_REASON = (
 
 
 # ----------------------------------------------------------------------
-# Every derived batch engine is drive(kernel, mode, ...)
+# Every derived batch engine is drive(kernel, engine, ...)
 # ----------------------------------------------------------------------
-def drive(kernel: "Kernel", kernel_mode: str, **kwargs: Any) -> AllocationResult:
+def drive(kernel: "Kernel", engine: str, **kwargs: Any) -> AllocationResult:
     """Run ``kernel``'s stepper to the end of its planned stream.
 
     ``kwargs`` are the scheme's scalar-runner keyword arguments (the
-    steppers accept the same ones).  ``kernel_mode`` selects the block
-    apply: ``"numpy"`` is the scheme's vectorized engine and
-    ``"compiled"`` its compiled engine.  Both consume the scalar
-    reference's RNG blocks, so loads, messages, rounds and the final
-    generator state match it seed for seed.  Only the strict policy runs
-    here; other policies raise ``ValueError``.
+    steppers accept the same ones).  ``engine`` (``"vectorized"`` or
+    ``"compiled"``) selects the block apply and tags the result.  Both
+    consume the scalar reference's RNG blocks, so loads, messages, rounds
+    and the final generator state match it seed for seed.  Only the
+    strict policy runs here; other policies raise ``ValueError``.
     """
     _require_strict(kwargs.get("policy", "strict"))
-    stepper = run_to_completion(kernel.stepper(**kwargs), kernel_mode)
-    return stepper.result("vectorized" if kernel_mode == "numpy" else kernel_mode)
+    stepper = run_to_completion(kernel.stepper(**kwargs), engine)
+    return stepper.result(engine)
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +134,7 @@ class Kernel:
 
     ``vectorized`` is a batch engine used instead of :func:`drive`: churn's
     stepperless batch core, or a scalar runner that is already batched.
-    Left ``None``, the vectorized engine is ``drive``'s ``"numpy"`` mode.
+    Left ``None``, the vectorized engine is ``drive``'s ``"vectorized"`` mode.
 
     ``compiled`` marks schemes whose stepper has C block kernels; their
     compiled engine is ``drive``'s ``"compiled"`` mode, and
@@ -171,7 +170,7 @@ class Kernel:
         if self.vectorized is not None:
             engines["vectorized"] = self.vectorized
         elif self.stepper is not None:
-            engines["vectorized"] = functools.partial(drive, self, "numpy")
+            engines["vectorized"] = functools.partial(drive, self, "vectorized")
         if self.compiled:
             engines["compiled"] = functools.partial(drive, self, "compiled")
         return engines

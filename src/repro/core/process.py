@@ -247,7 +247,7 @@ def run_kd_choice(
         from .kernels.table import KERNELS, drive
 
         result = drive(
-            KERNELS["kd_choice"], "numpy",
+            KERNELS["kd_choice"], "vectorized",
             n_bins=n_bins, k=k, d=d, n_balls=n_balls, policy=policy,
             seed=seed, rng=rng, chunk_rounds=chunk_rounds,
             capacities=capacities,

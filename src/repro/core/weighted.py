@@ -291,7 +291,7 @@ def run_weighted_kd_choice(
         from .kernels.table import KERNELS, drive
 
         result = drive(
-            KERNELS["weighted_kd_choice"], "numpy",
+            KERNELS["weighted_kd_choice"], "vectorized",
             n_bins=n_bins, k=k, d=d, weights=weights, n_balls=n_balls,
             mean_weight=mean_weight, seed=seed, rng=rng,
             capacities=capacities,

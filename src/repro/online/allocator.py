@@ -43,14 +43,9 @@ from typing import Any, Deque, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..api.engine import build_runner_kwargs
-from ..api.registry import (
-    compiled_fastpath_reason,
-    compiled_unsupported_reason,
-    get_scheme,
-    online_unsupported_reason,
-)
-from ..api.spec import SchemeSpec
+from ..api.engine import build_runner_kwargs, resolve_engine
+from ..api.registry import get_scheme, online_unsupported_reason
+from ..api.spec import SchemeSpec, SchemeSpecError
 from ..core.kernels import OnlineStepper, StreamExhausted
 from .telemetry import LoadTelemetry
 
@@ -143,11 +138,14 @@ class OnlineAllocator:
     ----------
     spec:
         The scheme configuration.  ``spec.engine`` selects the ingestion
-        mode for :meth:`place_batch`: ``"scalar"`` steps unit by unit,
-        ``"auto"``/``"vectorized"`` ride the batch kernels (bit-identical,
-        only faster).  The spec's ``n_balls`` (default ``n_bins``) fixes the
-        planned stream length — the reference engines size their RNG chunks
-        by it, so it is part of the reproducibility contract.
+        mode for :meth:`place_batch` through
+        :func:`~repro.api.engine.resolve_engine`, the rule ``simulate``
+        uses: ``"scalar"`` steps unit by unit, ``"vectorized"`` and
+        ``"compiled"`` ride the batch kernels (bit-identical, only faster),
+        and ``"auto"`` follows ``resolve_engine``'s answer.  The spec's
+        ``n_balls`` (default ``n_bins``) fixes the planned stream length —
+        the reference engines size their RNG chunks by it, so it is part of
+        the reproducibility contract.
     seed:
         Optional override of ``spec.seed`` (e.g. a SeedTree-derived trial
         seed), leaving the spec untouched.
@@ -177,6 +175,13 @@ class OnlineAllocator:
         reason = online_unsupported_reason(info, spec.policy, spec.params)
         if reason is not None:
             raise OnlineAllocatorError(reason)
+        # The engine is a speed choice, not state: restore() re-resolves it
+        # for the restoring host, so a snapshot taken on a compiled host
+        # replays bit-identically on a pure-Python one.
+        try:
+            engine = resolve_engine(spec, info)
+        except SchemeSpecError as exc:
+            raise OnlineAllocatorError(str(exc)) from None
         self.spec = spec
         kwargs = build_runner_kwargs(
             spec, info, spec.seed if seed is _UNSET else seed
@@ -188,38 +193,15 @@ class OnlineAllocator:
                 f"returned {type(stepper).__name__}, expected an OnlineStepper"
             )
         self._stepper = stepper
-        # A forced engine="compiled" must run compiled or fail loudly.
-        # Unlike the batch engine's resolve_engine, "auto" stays on the
-        # NumPy blocks unless REPRO_KERNEL=compiled opts in: serve windows
-        # hold a few balls, so loading the C backend (tens of ms per
-        # process, paid by every shard launch) would cost more than it
-        # saves.  The opt-in upgrades the block ingestion path only when the
-        # full fast path (scheme coverage, parameters, backend) applies.
-        # The mode is a speed choice, not state — restore() re-resolves it
-        # for the restoring host, so a snapshot taken on a compiled host
-        # replays bit-identically on a pure-Python one.
-        if spec.engine == "compiled":
-            reason = compiled_unsupported_reason(
-                info, spec.policy, spec.params, probe_backend=True
-            )
-            if reason is not None:
-                raise OnlineAllocatorError(reason)
-            stepper.set_kernel_mode("compiled")
-        elif spec.engine == "auto":
-            preference = os.environ.get("REPRO_KERNEL", "").strip().lower()
-            if preference == "compiled":
-                reason = compiled_fastpath_reason(
-                    info, spec.policy, spec.params, probe_backend=True
-                )
-                if reason is None:
-                    stepper.set_kernel_mode("compiled")
+        if engine != "scalar":
+            stepper.set_kernel_mode(engine)
         self.telemetry = telemetry if telemetry is not None else LoadTelemetry()
         self._pending: Deque[int] = deque()
         self._track_items = bool(track_items)
         self._items: Dict[Any, Tuple[int, int]] = {}  # item -> (seq, bin)
         self.placed = 0
         self.removed = 0
-        self._use_blocks = spec.engine != "scalar"
+        self._use_blocks = engine != "scalar"
 
     # ------------------------------------------------------------------
     # Views
@@ -302,8 +284,8 @@ class OnlineAllocator:
         """Place ``count`` items through the chunked ingestion path.
 
         Returns the destination bins in placement order — identical to
-        ``count`` successive :meth:`place` calls; with the spec's engine at
-        ``"auto"``/``"vectorized"`` the work runs through the batch kernels
+        ``count`` successive :meth:`place` calls; unless the spec's engine
+        resolves to ``"scalar"`` the work runs through the batch kernels
         instead of the per-unit loop.  ``items`` optionally registers an id
         per placement (for later removal).
         """

@@ -428,7 +428,6 @@ def run_events(
         )
         probe_base.update(current)
 
-    batch_mode = spec.engine != "scalar"
     snapshot_paths: List[str] = []
     snapshots_taken = 0
     places = removes = 0
@@ -457,45 +456,34 @@ def run_events(
             limit = total
             if snapshot_every is not None:
                 limit = min(limit, index + snapshot_every - (consumed % snapshot_every))
-            # Chunk at the telemetry cadence too, so a batched replay takes
-            # its samples at the same event counts as a per-event one (the
-            # summary's telemetry_samples must be engine-independent).
+            # Chunk at the telemetry cadence too: one place_batch samples at
+            # most once, so a run ends where a sample falls due and the
+            # samples land at the same event counts as one place() per
+            # event would take them.
             limit = min(
                 limit, index + max(1, allocator.telemetry.events_until_due())
             )
             while run_stop < limit and events[run_stop]["op"] == "place":
                 run_stop += 1
             run = events[index:run_stop]
-            if batch_mode and len(run) > 1:
+            # Register item ids only when some event will look one up: a
+            # churn-free replay must not build an O(n) item map.
+            keys = None
+            if has_removes:
                 start_sequence = allocator.placed
-                keys = None
-                if has_removes:
-                    keys = [
-                        e["item"] if e.get("item") is not None
-                        else start_sequence + offset
-                        for offset, e in enumerate(run)
-                    ]
-                destinations = allocator.place_batch(len(run), items=keys)
-                if has_tenants:
-                    for e, bin_index in zip(run, destinations):
-                        if "tenant" in e:
-                            tenant_place(e["tenant"], int(bin_index))
-                if bin_zone is not None:
-                    for e, bin_index in zip(run, destinations):
-                        if "zone" in e:
-                            zone_place(int(bin_zone[int(bin_index)]) == e["zone"])
-            else:
-                # Register item ids only when some event will look one up:
-                # a churn-free replay must not build an O(n) item map (and
-                # its snapshots must match the batch path's, which tracks
-                # nothing either).
-                for e in run:
-                    bin_index = allocator.place(
-                        e.get("item") if has_removes else None
-                    )
+                keys = [
+                    e["item"] if e.get("item") is not None
+                    else start_sequence + offset
+                    for offset, e in enumerate(run)
+                ]
+            destinations = allocator.place_batch(len(run), items=keys)
+            if has_tenants:
+                for e, bin_index in zip(run, destinations):
                     if "tenant" in e:
-                        tenant_place(e["tenant"], bin_index)
-                    if bin_zone is not None and "zone" in e:
+                        tenant_place(e["tenant"], int(bin_index))
+            if bin_zone is not None:
+                for e, bin_index in zip(run, destinations):
+                    if "zone" in e:
                         zone_place(int(bin_zone[int(bin_index)]) == e["zone"])
             sync_zone_probes()
             places += len(run)

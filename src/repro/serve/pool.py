@@ -61,7 +61,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..api.spec import SchemeSpec
+from ..api.engine import resolve_engine
+from ..api.spec import SchemeSpec, SchemeSpecError
 from ..online.allocator import (
     OnlineAllocator,
     OnlineAllocatorError,
@@ -353,7 +354,17 @@ class ShardPool:
         self.removed = 0
 
     def _start_shards(self, payloads: List[Dict[str, Any]]) -> None:
-        """Start one worker per payload; on a failure stop those started."""
+        """Start one worker per payload; on a failure stop those started.
+
+        The engine is resolved once here, before any worker exists: a
+        forced engine that cannot run fails without a fork, and a compiled
+        backend loaded here is inherited by forked shards instead of each
+        loading it in turn.
+        """
+        try:
+            resolve_engine(self.spec)
+        except SchemeSpecError as exc:
+            raise ShardPoolError(str(exc)) from None
         self._shards: List[_Shard] = []
         self._outboxes: List[List[Any]] = [[] for _ in payloads]
         self._closed = False

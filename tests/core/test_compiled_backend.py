@@ -59,8 +59,7 @@ class TestDisabledBackend:
         with pytest.raises(SchemeSpecError, match="compiled backend unavailable"):
             simulate(spec)
 
-    def test_auto_degrades_to_vectorized(self, no_backend, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "compiled")
+    def test_auto_degrades_to_vectorized(self, no_backend):
         spec = SchemeSpec(scheme="kd_choice", params=KD_PARAMS, seed=0)
         assert resolve_engine(spec) == "vectorized"
         result = simulate(spec)  # must not raise
@@ -72,12 +71,11 @@ class TestDisabledBackend:
         with pytest.raises(OnlineAllocatorError, match="compiled backend unavailable"):
             OnlineAllocator(spec)
 
-    def test_online_auto_preference_degrades(self, no_backend, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "compiled")
+    def test_online_auto_degrades_to_vectorized(self, no_backend):
         allocator = OnlineAllocator(
             SchemeSpec(scheme="kd_choice", params=KD_PARAMS, seed=0)
         )
-        assert allocator.stepper.kernel_mode == "numpy"
+        assert allocator.stepper.kernel_mode == "vectorized"
         allocator.place_batch(KD_PARAMS["n_balls"])  # streams fine
 
     def test_spec_construction_stays_machine_independent(self, no_backend):
@@ -100,7 +98,7 @@ class TestDisabledBackend:
         stepper = KDChoiceStepper(n_bins=16, k=1, d=2, n_balls=16, seed=0)
         with pytest.raises(CompiledUnavailable):
             stepper.set_kernel_mode("compiled")
-        assert stepper.kernel_mode == "numpy"
+        assert stepper.kernel_mode == "vectorized"
 
 
 class TestCapabilityGuards:
@@ -190,10 +188,10 @@ class TestAvailableBackend:
         assert np.array_equal(scalar.loads, compiled.loads)
         assert compiled.extra["engine"] == "compiled"
 
-    def test_auto_preference_selects_compiled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "compiled")
+    def test_auto_selects_compiled_in_simulate_and_online(self):
         spec = SchemeSpec(scheme="kd_choice", params=KD_PARAMS, seed=3)
         assert resolve_engine(spec) == "compiled"
+        assert OnlineAllocator(spec).stepper.kernel_mode == "compiled"
 
     @pytest.mark.parametrize("scheme,params", [
         ("kd_choice", {"n_bins": 4000, "k": 700, "d": 1500, "n_balls": 2100}),

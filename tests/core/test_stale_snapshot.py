@@ -98,7 +98,7 @@ def test_epoch_snapshot_is_loads_until_a_committed_removal():
     assert stepper._snapshot is stepper.loads
 
 
-@pytest.mark.parametrize("kernel_mode", ["numpy", "compiled"])
+@pytest.mark.parametrize("kernel_mode", ["vectorized", "compiled"])
 @pytest.mark.parametrize("seed", range(12))
 def test_rounds_after_a_removal_probe_the_epoch_start_loads(seed, kernel_mode):
     stepper, reference = _pair(seed)
@@ -160,9 +160,9 @@ def test_mid_epoch_snapshot_restore_resumes_bit_identically(remove_first):
 
 
 # ---------------------------------------------------------------------------
-# Compiled mode against NumPy mode.  In compiled mode a block that starts at
+# Compiled mode against vectorized mode.  In compiled mode a block that starts at
 # an epoch boundary runs whole epochs in one C call; everything else runs
-# one epoch per call, as in NumPy mode.  Both must agree bit for bit.
+# one epoch per call, as in vectorized mode.  Both must agree bit for bit.
 # ---------------------------------------------------------------------------
 
 #: Ends in a partial round; 600-epoch blocks cross the 4096-row block cap.

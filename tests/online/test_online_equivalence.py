@@ -523,7 +523,7 @@ class TestCompiledStreamEquivalence:
             resumed.snapshot()["stepper"] == unbroken.snapshot()["stepper"]
         ), scheme
 
-    def test_auto_with_repro_kernel_env_upgrades_and_matches(self, monkeypatch):
+    def test_auto_runs_compiled_and_matches_scalar(self):
         params = {"n_bins": 80, "k": 2, "d": 5, "n_balls": 700}
         scalar = OnlineAllocator(
             SchemeSpec(scheme="kd_choice", params=params, seed=9,
@@ -531,7 +531,6 @@ class TestCompiledStreamEquivalence:
         )
         for _ in range(700):
             scalar.place()
-        monkeypatch.setenv("REPRO_KERNEL", "compiled")
         auto = OnlineAllocator(
             SchemeSpec(scheme="kd_choice", params=params, seed=9)
         )

@@ -219,6 +219,31 @@ class TestManifests:
             if worker.name.startswith("repro-serve-shard-")
         ]
 
+    def test_forced_compiled_without_backend_fails_before_any_worker(
+        self, mode, no_backend, monkeypatch
+    ):
+        from repro.serve import pool as pool_module
+
+        real_shard = pool_module._Shard
+        started = []
+
+        def spy(index, payload, shard_mode):
+            started.append(index)
+            return real_shard(index, payload, shard_mode)
+
+        monkeypatch.setattr(pool_module, "_Shard", spy)
+        spec = SchemeSpec(
+            scheme="kd_choice", params=KD_PARAMS, seed=7, engine="compiled"
+        )
+        with pytest.raises(ShardPoolError, match="compiled backend unavailable"):
+            ShardPool(spec, 2, mode=mode)
+        assert started == []
+        workers = threading.enumerate() + multiprocessing.active_children()
+        assert not [
+            worker.name for worker in workers
+            if worker.name.startswith("repro-serve-shard-")
+        ]
+
     def test_wrong_format_and_version_rejected(self):
         with ShardPool(kd_spec(), 2, mode="thread") as pool:
             manifest = pool.snapshot()
