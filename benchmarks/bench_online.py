@@ -9,7 +9,7 @@ bit-identical loads to the batch ``simulate()`` of the same spec, so the
 speedup is never bought with drift.
 
 A second check pins streaming-vs-batch parity cheaply for every
-``online=``-capable scheme family at a smaller size.
+scheme family with an online stepper at a smaller size.
 """
 
 from __future__ import annotations
@@ -103,6 +103,11 @@ ONLINE_PARITY_CASES = [
     ("two_phase_adaptive", {"n_bins": 4096}),
     ("greedy_kd_choice", {"n_bins": 2048, "k": 2, "d": 5}),
     ("serialized_kd_choice", {"n_bins": 2048, "k": 4, "d": 8}),
+    ("hierarchical_always_go_left", {"n_bins": 64, "topology": "quad_rack"}),
+    (
+        "locality_two_choice",
+        {"n_bins": 64, "bias": 0.5, "threshold": 1, "topology": "dual_zone"},
+    ),
 ]
 
 

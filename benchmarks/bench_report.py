@@ -3,7 +3,7 @@
 Two artifacts share this harness (``--artifact``):
 
 ``online`` (default, ``BENCH_ONLINE.json``) measures, for every
-``online=``-capable scheme, three throughputs on the same workload size
+scheme with an online stepper, three throughputs on the same workload size
 (``--items``, default 200k):
 
 * ``batch`` — one ``simulate()`` call (the engine the spec resolves to),

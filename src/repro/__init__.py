@@ -29,6 +29,8 @@ landed) are gone; the undecorated reference implementations remain
 importable from :mod:`repro.core` for the registry and the engines.
 """
 
+import importlib
+
 from .core import (
     AllocationResult,
     BallPlacement,
@@ -53,7 +55,7 @@ from .api import (
     simulate,
     simulate_many,
 )
-from . import analysis, api, cluster, experiments, simulation, storage
+from . import api
 
 __version__ = "1.0.0"
 
@@ -89,3 +91,15 @@ __all__ = [
     "cluster",
     "storage",
 ]
+
+#: Subpackages imported on first attribute access (PEP 562), so a process
+#: that needs only the allocator (``repro serve``) does not load them.
+_LAZY_SUBPACKAGES = frozenset(
+    {"analysis", "cluster", "experiments", "simulation", "storage"}
+)
+
+
+def __getattr__(name: str):
+    if name in _LAZY_SUBPACKAGES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

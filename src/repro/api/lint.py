@@ -5,15 +5,13 @@ scheme the single source of truth for its engine surfaces.  This module
 checks, mechanically, that the scheme registry never drifts away from the
 kernel table:
 
-* every kernel in :data:`~repro.core.kernels.table.KERNELS` backs a
-  registered scheme whose ``vectorized``/``compiled``/``online``/guard
-  surfaces are the *identical objects* the kernel carries (its
-  :attr:`~repro.core.kernels.table.Kernel.engines`, stepper and guards —
-  not merely equal: a re-wrapped engine is exactly the drift this lint
-  exists to catch);
-* every registered scheme is either kernel-backed or explicitly listed in
+* every kernel in :data:`~repro.core.kernels.table.KERNELS` is
+  registered with that very record (``info.kernel is KERNELS[name]``); the
+  registry reads engines, stepper and guards from the record it holds, so
+  registration is all there is to check;
+* every registered scheme is either in ``KERNELS`` or explicitly listed in
   :data:`~repro.core.kernels.table.EXEMPT_SCHEMES` (the bespoke substrate
-  simulators).
+  simulators, which carry records of their own).
 
 The workload registry (:mod:`repro.workloads`) gets the same treatment:
 
@@ -60,45 +58,19 @@ def _kernel_surface_violations() -> List[str]:
                 f"scheme; register it in api/schemes.py with kernel=KERNELS[{name!r}]"
             )
             continue
-        info = REGISTRY.get(name)
-        if info.kernel != kernel.name:
+        if REGISTRY.get(name).kernel is not kernel:
             problems.append(
                 f"scheme {name!r} (api/schemes.py) is not kernel-backed "
-                f"(info.kernel={info.kernel!r}); pass kernel=KERNELS[{name!r}] "
-                f"instead of explicit engine surfaces"
+                f"(its record is not KERNELS[{name!r}]); register it with "
+                f"kernel=KERNELS[{name!r}]"
             )
-            continue
-        surfaces = (
-            ("vectorized", info.vectorized, kernel.engines.get("vectorized")),
-            ("online", info.online, kernel.stepper),
-            ("vectorized_guard", info.vectorized_guard, kernel.vectorized_guard),
-            (
-                "vectorized_fastpath_guard",
-                info.vectorized_fastpath_guard,
-                kernel.fastpath_guard,
-            ),
-            ("compiled", info.compiled, kernel.engines.get("compiled")),
-            (
-                "compiled_fastpath_guard",
-                info.compiled_fastpath_guard,
-                kernel.compiled_fastpath_guard,
-            ),
-        )
-        for surface, registered_obj, kernel_obj in surfaces:
-            if registered_obj is not kernel_obj:
-                problems.append(
-                    f"scheme {name!r}: registry {surface} is not the kernel's "
-                    f"object (registry={registered_obj!r}, "
-                    f"kernel={kernel_obj!r}); the registration in "
-                    f"api/schemes.py must derive it from KERNELS[{name!r}]"
-                )
 
     for name in sorted(registered):
         if name in KERNELS:
             continue
         if name not in EXEMPT_SCHEMES:
             problems.append(
-                f"scheme {name!r} (api/schemes.py) has no kernel and is not in "
+                f"scheme {name!r} (api/schemes.py) is not in KERNELS and not in "
                 f"EXEMPT_SCHEMES (core/kernels/table.py); add a kernel "
                 f"registration or list it as exempt"
             )
@@ -228,12 +200,12 @@ def _topology_registry_violations() -> List[str]:
     problems: List[str] = []
 
     # Topology-aware schemes ride the same kernel contract as everything
-    # else: a hand-wired engine surface would escape the equivalence pins.
+    # else: a record of their own would escape the equivalence pins.
     for name in REGISTRY.names():
         info = REGISTRY.get(name)
         if "topology" not in (info.tags or ()):
             continue
-        if info.kernel is None or info.kernel not in KERNELS:
+        if name not in KERNELS or info.kernel is not KERNELS[name]:
             problems.append(
                 f"topology scheme {name!r} (api/schemes.py) is not "
                 f"kernel-backed; register it with kernel=KERNELS[{name!r}]"

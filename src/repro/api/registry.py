@@ -11,18 +11,16 @@ The registry stores, per scheme:
 
 * the scalar runner callable and its introspected keyword signature (used
   to validate spec params before execution),
-* optional *vectorized* and *compiled* batch engines, called with the same
-  keyword arguments as the scalar runner,
-* an optional *online* stepper factory for the streaming allocation service
-  (:mod:`repro.online`), mirroring the vectorized capability surface,
+* the scheme's engine record, a :class:`~repro.core.kernels.table.Kernel`
+  (``register(..., kernel=KERNELS[name])``): :attr:`SchemeInfo.vectorized`,
+  :attr:`~SchemeInfo.compiled` and :attr:`~SchemeInfo.online` read its
+  batch engines and stepper factory, and the ``*_reason`` functions read
+  its guards.  The record is held, not copied, so the registry cannot drift
+  from it.  The batch engines are the ``"vectorized"`` and ``"compiled"``
+  modes of one function, :func:`~repro.core.kernels.table.drive`; a scheme
+  without a record runs on its scalar runner only,
 * a one-line summary (the first docstring line by default) for
   :func:`describe_scheme` / the ``python -m repro schemes`` listing.
-
-A kernel-backed scheme (``register(..., kernel=KERNELS[name])``) gets its
-batch engines, stepper factory and guards from its
-:class:`~repro.core.kernels.table.Kernel`: the engines are the
-``"vectorized"`` and ``"compiled"`` modes of one function,
-:func:`~repro.core.kernels.table.drive`.
 """
 
 from __future__ import annotations
@@ -62,52 +60,31 @@ class SchemeInfo:
     required: Tuple[str, ...]
     aliases: Tuple[str, ...] = ()
     tags: Tuple[str, ...] = ()
-    vectorized: Optional[Runner] = None
-    #: Optional predicate ``(params) -> reason-or-None`` marking parameter
-    #: regions the vectorized runner does not support (e.g. a failure
-    #: scenario only the reference simulator implements).  ``None`` (the
-    #: return value) means supported.  This is the *hard* capability level:
-    #: a reason here means forcing ``engine="vectorized"`` raises.
-    vectorized_guard: Optional[Callable[[Mapping[str, Any]], Optional[str]]] = None
-    #: Optional predicate ``(params) -> reason-or-None`` marking parameter
-    #: regions where the vectorized runner *works* but brings no speedup
-    #: (it drives the per-unit kernel), so ``engine="auto"`` should stay on
-    #: the scalar reference.  Forcing ``engine="vectorized"`` is honoured.
-    vectorized_fastpath_guard: Optional[
-        Callable[[Mapping[str, Any]], Optional[str]]
-    ] = None
-    #: Optional compiled (C-backend) runner, derived from the kernel record
-    #: exactly like ``vectorized`` (``drive``'s ``"compiled"`` mode).
-    #: Selected via ``engine="compiled"``, and by ``engine="auto"`` wherever
-    #: the C backend builds; seed-for-seed identical to the scalar reference
-    #: by construction.
-    compiled: Optional[Runner] = None
-    #: Soft guard: the compiled engine works but degenerates to the
-    #: per-unit drive path (no speedup), so ``engine="auto"`` skips it.
-    compiled_fastpath_guard: Optional[
-        Callable[[Mapping[str, Any]], Optional[str]]
-    ] = None
-    #: Optional stepper factory for the online/streaming allocation service
-    #: (:mod:`repro.online`).  The factory mirrors the scalar runner's
-    #: keyword signature but returns a stepper object (incremental
-    #: placements) instead of a finished ``AllocationResult``.
-    online: Optional[Runner] = None
-    #: Optional predicate ``(params) -> reason-or-None`` marking parameter
-    #: regions the online stepper does not support.  Mirrors
-    #: ``vectorized_guard``.
-    online_guard: Optional[Callable[[Mapping[str, Any]], Optional[str]]] = None
     #: Optional scheme-specific default metric set for trial fan-outs
     #: (``metrics=None`` paths).  Must map names to module-level functions of
     #: the :class:`~repro.core.types.AllocationResult` returning floats, so
     #: trials stay picklable and cacheable.  ``None`` selects the library
     #: default (max load, gap, messages).
     metrics: Optional[Mapping[str, Callable[[Any], float]]] = None
-    #: Name of the kernel (in :data:`repro.core.kernels.table.KERNELS`) this
-    #: scheme's engine surfaces were derived from, or ``None`` for the
-    #: bespoke substrate simulators.  Set by passing ``kernel=`` to
-    #: ``register``; ``repro schemes --check`` verifies derived surfaces
-    #: stay identical to the kernel table.
-    kernel: Optional[str] = None
+    #: The scheme's :class:`~repro.core.kernels.table.Kernel`: its batch
+    #: engines, stepper factory and guards.  ``None`` for a scalar-only
+    #: scheme.
+    kernel: Optional[Any] = None
+
+    @property
+    def vectorized(self) -> Optional[Runner]:
+        """The vectorized batch engine (scalar-runner keywords), or ``None``."""
+        return self.kernel.engines.get("vectorized") if self.kernel else None
+
+    @property
+    def compiled(self) -> Optional[Runner]:
+        """The compiled (C-backend) batch engine, or ``None``."""
+        return self.kernel.engines.get("compiled") if self.kernel else None
+
+    @property
+    def online(self) -> Optional[Runner]:
+        """The stepper factory of the streaming allocator, or ``None``."""
+        return self.kernel.stepper if self.kernel else None
 
     @property
     def accepts_policy(self) -> bool:
@@ -118,7 +95,16 @@ class SchemeInfo:
         return "rng" in self.parameters
 
     def describe(self) -> Dict[str, Any]:
-        """Human/machine-readable description of the scheme."""
+        """Human/machine-readable description of the scheme.
+
+        ``kernel_derived`` is true when the scheme's record is its entry in
+        the shared kernel table (the substrates carry records of their own).
+        """
+        kernel_derived = False
+        if self.kernel is not None:
+            from ..core.kernels import KERNELS
+
+            kernel_derived = KERNELS.get(self.name) is self.kernel
         return {
             "name": self.name,
             "summary": self.summary,
@@ -136,7 +122,7 @@ class SchemeInfo:
             ),
             "online": self.online is not None,
             "metrics": sorted(self.metrics) if self.metrics else None,
-            "kernel_derived": self.kernel is not None,
+            "kernel_derived": kernel_derived,
         }
 
 
@@ -174,14 +160,6 @@ class SchemeRegistry:
         aliases: Tuple[str, ...] = (),
         tags: Tuple[str, ...] = (),
         kernel: Optional[Any] = None,
-        vectorized: Optional[Runner] = None,
-        vectorized_guard: Optional[
-            Callable[[Mapping[str, Any]], Optional[str]]
-        ] = None,
-        online: Optional[Runner] = None,
-        online_guard: Optional[
-            Callable[[Mapping[str, Any]], Optional[str]]
-        ] = None,
         metrics: Optional[Mapping[str, Callable[[Any], float]]] = None,
     ) -> Callable[[Runner], Runner]:
         """Decorator registering ``runner`` under ``name``.
@@ -194,61 +172,38 @@ class SchemeRegistry:
                 ...
 
         ``kernel`` (a :class:`repro.core.kernels.table.Kernel`) is the
-        preferred wiring: the scheme's ``vectorized=``, ``compiled=``,
-        ``online=`` and guard surfaces are derived from the kernel (its
-        :attr:`~repro.core.kernels.table.Kernel.engines` and stepper) and
-        may not also be passed explicitly — one registration, one source of
-        truth, checked by ``repro schemes --check``.
+        scheme's one engine record: its vectorized and compiled engines,
+        stepper factory and guards are read from it, never copied.  Without
+        one the scheme runs on its scalar runner only.  The name and every
+        alias are checked before anything is inserted, so a rejected
+        registration leaves the registry unchanged.
         """
         if not isinstance(name, str) or not name:
             raise ValueError(f"scheme name must be a non-empty string, got {name!r}")
-        fastpath_guard = None
-        if kernel is not None:
-            if vectorized is not None or vectorized_guard is not None or online is not None:
-                raise ValueError(
-                    f"scheme {name!r} passes kernel= and explicit engine "
-                    f"surfaces; engines of a kernel-backed scheme are derived "
-                    f"from the kernel alone"
-                )
-            vectorized = kernel.engines.get("vectorized")
-            vectorized_guard = kernel.vectorized_guard
-            fastpath_guard = kernel.fastpath_guard
-            compiled = kernel.engines.get("compiled")
-            compiled_fastpath_guard = kernel.compiled_fastpath_guard
-            online = kernel.stepper
-        else:
-            compiled = None
-            compiled_fastpath_guard = None
+        aliases = tuple(aliases)
 
         def decorator(runner: Runner) -> Runner:
-            if name in self._schemes or name in self._aliases:
+            if name in self:
                 raise ValueError(f"scheme {name!r} is already registered")
+            for index, alias in enumerate(aliases):
+                if alias in self or alias in (name,) + aliases[:index]:
+                    raise ValueError(f"scheme alias {alias!r} is already registered")
             doc = (inspect.getdoc(runner) or "").strip()
             first_line = doc.splitlines()[0] if doc else ""
             parameters, defaults, required = _introspect(runner)
-            info = SchemeInfo(
+            self._schemes[name] = SchemeInfo(
                 name=name,
                 runner=runner,
                 summary=summary if summary is not None else first_line,
                 parameters=parameters,
                 defaults=defaults,
                 required=required,
-                aliases=tuple(aliases),
+                aliases=aliases,
                 tags=tuple(tags),
-                vectorized=vectorized,
-                vectorized_guard=vectorized_guard,
-                vectorized_fastpath_guard=fastpath_guard,
-                compiled=compiled,
-                compiled_fastpath_guard=compiled_fastpath_guard,
-                online=online,
-                online_guard=online_guard,
                 metrics=dict(metrics) if metrics is not None else None,
-                kernel=kernel.name if kernel is not None else None,
+                kernel=kernel,
             )
-            self._schemes[name] = info
-            for alias in info.aliases:
-                if alias in self._schemes or alias in self._aliases:
-                    raise ValueError(f"scheme alias {alias!r} is already registered")
+            for alias in aliases:
                 self._aliases[alias] = name
             return runner
 
@@ -389,8 +344,8 @@ def vectorized_unsupported_reason(
             f"the vectorized engine supports only the strict policy, "
             f"got policy={policy!r}"
         )
-    if info.vectorized_guard is not None:
-        return info.vectorized_guard(params)
+    if info.kernel.vectorized_guard is not None:
+        return info.kernel.vectorized_guard(params)
     return None
 
 
@@ -403,7 +358,7 @@ def vectorized_fastpath_reason(
 
     A superset of :func:`vectorized_unsupported_reason`: any configuration
     the vectorized engine cannot run at all is also not a fast path, and on
-    top of that a scheme's ``vectorized_fastpath_guard`` can mark regions
+    top of that the kernel's ``fastpath_guard`` can mark regions
     where the batch engine merely drives the per-unit kernel with no
     speedup (the serialized and greedy schemes, callable thresholds).
     ``engine="auto"`` resolution uses this reason; forcing
@@ -412,8 +367,8 @@ def vectorized_fastpath_reason(
     hard = vectorized_unsupported_reason(info, policy, params)
     if hard is not None:
         return hard
-    if info.vectorized_fastpath_guard is not None:
-        return info.vectorized_fastpath_guard(params)
+    if info.kernel.fastpath_guard is not None:
+        return info.kernel.fastpath_guard(params)
     return None
 
 
@@ -469,8 +424,8 @@ def compiled_fastpath_reason(
     hard = compiled_unsupported_reason(info, policy, params, probe_backend)
     if hard is not None:
         return hard
-    if info.compiled_fastpath_guard is not None:
-        return info.compiled_fastpath_guard(params)
+    if info.kernel.compiled_fastpath_guard is not None:
+        return info.kernel.compiled_fastpath_guard(params)
     return None
 
 
@@ -494,6 +449,4 @@ def online_unsupported_reason(
             f"only when per-item placement is well defined (see "
             f"repro.online)"
         )
-    if info.online_guard is not None:
-        return info.online_guard(params)
     return None

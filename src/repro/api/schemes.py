@@ -30,7 +30,7 @@ from ..core.baselines import (
     run_single_choice,
 )
 from ..core.dynamic import allocation_from_churn, run_churn_kd_choice
-from ..core.kernels import KERNELS
+from ..core.kernels import KERNELS, Kernel
 from ..core.process import run_kd_choice
 from ..core.serialization import run_serialized_kd_choice
 from ..core.stale import run_stale_kd_choice
@@ -45,12 +45,11 @@ __all__: list = []
 # ----------------------------------------------------------------------
 # The paper's process family
 # ----------------------------------------------------------------------
-# Every ball-stream scheme passes kernel=KERNELS[name]: its vectorized
-# engine, online stepper and engine guards are derived from that single
-# registration in repro.core.kernels.table (the parity lint
-# ``repro schemes --check`` keeps the two tables in sync).  Only the
-# substrate simulators at the bottom of this module wire their engines
-# explicitly.
+# Every ball-stream scheme passes kernel=KERNELS[name]: the registry holds
+# that record of repro.core.kernels.table and reads its vectorized engine,
+# online stepper and engine guards from it.  Only the substrate simulators
+# at the bottom of this module declare their own stepperless records, next
+# to their runners (core/ does not import the substrates).
 register_scheme(
     "kd_choice",
     summary="The paper's (k, d)-choice process (k balls per round, d probes).",
@@ -402,7 +401,17 @@ def _run_cluster_scheduling_fast(
     "cluster_scheduling",
     summary="Sparrow-style cluster: batch (k, d)-choice task placement.",
     tags=("application",),
-    vectorized=_run_cluster_scheduling_fast,
+    kernel=Kernel(
+        name="cluster_scheduling",
+        unit="job (tasks_per_job tasks, batch-sampled probes)",
+        draw_blocks=(
+            "job trace from seed",
+            "scheduler probes from seed + 1",
+            "worker speeds from seed + 2 [speed_spread > 0]",
+        ),
+        stepper=None,  # an event simulation, not a per-item stream
+        vectorized=_run_cluster_scheduling_fast,
+    ),
     metrics=CLUSTER_METRICS,
 )
 def _run_cluster_scheduling(
@@ -533,8 +542,17 @@ def _run_storage_placement_fast(
     "storage_placement",
     summary="Distributed storage: (k, k+1)-choice replica placement.",
     tags=("application",),
-    vectorized=_run_storage_placement_fast,
-    vectorized_guard=_storage_placement_guard,
+    kernel=Kernel(
+        name="storage_placement",
+        unit="file (replicas copies, replicas + extra_probes probes)",
+        draw_blocks=(
+            "file sizes from seed",
+            "placement probes from seed + 1",
+        ),
+        stepper=None,  # an event simulation, not a per-item stream
+        vectorized=_run_storage_placement_fast,
+        vectorized_guard=_storage_placement_guard,
+    ),
     metrics=STORAGE_METRICS,
 )
 def _run_storage_placement(

@@ -1,10 +1,9 @@
 """Per-scheme kernel contract: draw blocks, per-unit apply, batched apply.
 
 Each scheme makes exactly one registration in :data:`~repro.core.kernels.table.KERNELS`;
-the online steppers, the batch engines (the modes of
-:func:`~repro.core.kernels.table.drive`) and the registry's
-``vectorized=``/``compiled=``/``online=``/guard wiring are all derived from
-it.  See :mod:`repro.core.kernels.base` for the contract and
+the online stepper, the batch engines (the modes of
+:func:`~repro.core.kernels.table.drive`) and the guards all live in that
+record, and the scheme registry holds the record itself.  See :mod:`repro.core.kernels.base` for the contract and
 :mod:`repro.core.kernels.table` for the table and ``drive``.  Reach the
 engines through the registry: ``get_scheme(name).vectorized`` and
 ``.compiled``.

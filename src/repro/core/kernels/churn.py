@@ -3,8 +3,8 @@
 Churn has no per-item streaming form — departures are global events over
 the whole allocation, so the scheme exposes no stepper and the generic
 ``drive`` loop does not apply.  Its kernel is the batch runner alone:
-:func:`run_churn_allocation_vectorized` is the ``vectorized=`` engine the
-kernel table registers for it.
+:func:`run_churn_allocation_vectorized` is the ``vectorized`` engine of
+its kernel record.
 
 Draw blocks (identical to :func:`~repro.core.dynamic.run_churn_kd_choice`):
 one ``size=warmup_balls`` integer block, then per round a ``size=d`` sample

@@ -17,16 +17,12 @@ registration:
 
 :attr:`Kernel.engines` holds the derived callables.  The registry
 (:mod:`repro.api.schemes`) passes ``kernel=KERNELS[name]`` to ``register``
-and takes its ``vectorized=``/``compiled=``/``online=``/guard wiring from
-the kernel; ``repro schemes --check`` verifies the two never drift apart.
+and holds that record: ``SchemeInfo.vectorized``, ``.compiled`` and
+``.online`` read it, so there is no copy to drift.  ``repro schemes
+--check`` verifies that every kernel here is registered with its record.
 
-Two capability levels keep auto-selection honest:
-
-* ``vectorized_guard`` (hard): the parameters cannot run on the batch
-  engine at all — forcing ``engine="vectorized"`` raises.
-* ``fastpath_guard`` (soft): the batch engine works (it drives the
-  per-unit kernel) but offers no speedup, so ``engine="auto"`` stays on
-  the scalar reference; forcing ``engine="vectorized"`` is honoured.
+The guards' two capability levels, which keep auto-selection honest, are
+described on :class:`Kernel`.
 """
 
 from __future__ import annotations
@@ -125,23 +121,40 @@ def _greedy_fastpath_guard(params: Mapping[str, Any]) -> Optional[str]:
 class Kernel:
     """A scheme's single engine registration.
 
+    The scheme registry holds this record as ``SchemeInfo.kernel`` and reads
+    every engine surface from it; nothing is copied.
+
     ``draw_blocks`` documents the exact RNG blocks the kernel consumes per
     unit/chunk/epoch — the contract that makes the scalar reference, the
-    stepper and the derived batch engine bit-identical.  The guards mirror the registry's two capability levels: a
-    ``vectorized_guard`` failure means the batch engine cannot run those
-    parameters at all; a ``fastpath_guard`` reason means it runs but brings
-    no speedup, so engine auto-selection prefers the scalar reference.
+    stepper and the derived batch engine bit-identical.
+
+    ``stepper`` is the per-unit apply and the streaming allocator's factory
+    (``SchemeInfo.online``); it mirrors the scalar runner's keyword
+    signature but returns an :class:`OnlineStepper` instead of a finished
+    ``AllocationResult``.  ``None`` means the scheme does not stream.
 
     ``vectorized`` is a batch engine used instead of :func:`drive`: churn's
-    stepperless batch core, or a scalar runner that is already batched.
-    Left ``None``, the vectorized engine is ``drive``'s ``"vectorized"`` mode.
+    stepperless batch core, a substrate's fast event core, or a scalar
+    runner that is already batched.  Left ``None``, the vectorized engine
+    is ``drive``'s ``"vectorized"`` mode.
+
+    The guards are predicates ``(params) -> reason-or-None`` at two
+    capability levels:
+
+    * ``vectorized_guard`` (hard): the batch engine cannot run those
+      parameters at all (e.g. a failure scenario only the reference
+      simulator implements), so forcing ``engine="vectorized"`` raises;
+    * ``fastpath_guard`` (soft): the batch engine runs them but brings no
+      speedup (it drives the per-unit kernel), so ``engine="auto"`` stays
+      on the scalar reference; forcing ``engine="vectorized"`` is honoured.
 
     ``compiled`` marks schemes whose stepper has C block kernels; their
     compiled engine is ``drive``'s ``"compiled"`` mode, and
-    ``engine="auto"`` prefers it over the vectorized engine.  The C kernels
-    run any parameters the stepper accepts, so the compiled engine has only
-    the soft level: ``compiled_fastpath_guard`` names parameters where it
-    works but degenerates to the per-unit drive path, so ``auto`` skips it.
+    ``engine="auto"`` prefers it over the vectorized engine wherever the C
+    backend builds.  The C kernels run any parameters the stepper accepts,
+    so the compiled engine has only the soft level:
+    ``compiled_fastpath_guard`` names parameters where it works but
+    degenerates to the per-unit drive path, so ``auto`` skips it.
     Whether the C backend itself is buildable in the current environment
     is a separate, per-process question answered by
     :func:`repro.core.compiled.backend_unavailable_reason`.
@@ -176,10 +189,12 @@ class Kernel:
         return engines
 
 
-#: Schemes outside the kernel contract: their engines are bespoke substrate
-#: simulators (event cores), not ball-stream kernels.  The registry parity
-#: lint (``repro schemes --check``) requires every other scheme to be
-#: kernel-derived.
+#: Schemes outside this table: their engines are bespoke substrate
+#: simulators (event cores), not ball-stream kernels, and their stepperless
+#: records live next to their runners in :mod:`repro.api.schemes` (``core``
+#: does not import the substrates).  The registry parity lint (``repro
+#: schemes --check``) requires every other scheme to be registered with its
+#: entry here.
 EXEMPT_SCHEMES = frozenset({"cluster_scheduling", "storage_placement"})
 
 

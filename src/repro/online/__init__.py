@@ -11,7 +11,7 @@ Key pieces
 ----------
 :class:`OnlineAllocator`
     ``place()`` / ``place_batch()`` / ``remove()`` over any scheme
-    registered ``online=``; ``snapshot()`` / ``restore()`` for persistence.
+    whose kernel has a stepper; ``snapshot()`` / ``restore()`` for persistence.
 :class:`~repro.online.telemetry.LoadTelemetry`
     O(1)-update counters plus a bounded ring of periodic percentile samples.
 :mod:`~repro.online.trace`

@@ -6,8 +6,8 @@ it places (and retires) items incrementally while exposing live telemetry —
 the shape a load balancer in front of real traffic needs, rather than the
 batch "throw n balls, read the result" shape.
 
-The central guarantee is **batch parity**: for any scheme registered with an
-``online=`` stepper, streaming the spec's ``n_balls`` items through
+The central guarantee is **batch parity**: for any scheme whose kernel has a
+stepper (``SchemeInfo.online``), streaming the spec's ``n_balls`` items through
 :meth:`place` (or :meth:`place_batch`, or any mix) produces a load vector,
 message/round accounting *and generator state* bit-for-bit identical to
 ``simulate(spec)``.  Removals (:meth:`remove`) deliberately leave that
@@ -132,7 +132,7 @@ def load_snapshot(path: Any) -> Dict[str, Any]:
 
 
 class OnlineAllocator:
-    """Stateful per-request allocator over any ``online=``-capable scheme.
+    """Stateful per-request allocator over any scheme with an online stepper.
 
     Parameters
     ----------

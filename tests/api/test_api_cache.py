@@ -32,7 +32,7 @@ def counting_scheme(monkeypatch):
         calls.append(seed)
         return info.runner(n_bins, n_balls=n_balls, seed=seed, rng=rng)
 
-    patched = dataclasses.replace(info, runner=counting_runner, vectorized=None)
+    patched = dataclasses.replace(info, runner=counting_runner, kernel=None)
     monkeypatch.setitem(REGISTRY._schemes, "single_choice", patched)
     return calls
 

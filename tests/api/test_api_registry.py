@@ -13,6 +13,13 @@ from repro.api import (
     get_scheme,
     simulate,
 )
+from repro.api.registry import (
+    compiled_fastpath_reason,
+    compiled_unsupported_reason,
+    online_unsupported_reason,
+    vectorized_fastpath_reason,
+    vectorized_unsupported_reason,
+)
 from repro.core.types import AllocationResult
 
 #: Minimal valid parameters for every registered scheme (tiny instances so
@@ -93,6 +100,55 @@ class TestCatalogue:
 
         with pytest.raises(ValueError, match="already registered"):
             registry.register("thing")(lambda n_bins: None)
+
+    @pytest.mark.parametrize(
+        "aliases",
+        [("y", "x"), ("y", "b"), ("y", "y"), ("y", "a")],
+        ids=["taken-alias", "own-name", "repeated", "taken-name"],
+    )
+    def test_rejected_registration_leaves_registry_unchanged(self, aliases):
+        registry = SchemeRegistry()
+        registry.register("a", aliases=("x",))(lambda n_bins: None)
+
+        with pytest.raises(ValueError, match="already registered"):
+            registry.register("b", aliases=aliases)(lambda n_bins: None)
+        assert "b" not in registry and "y" not in registry
+        assert registry.names() == ["a"]
+        registry.register("b", aliases=("y",))(lambda n_bins: None)
+        assert registry.get("y").name == "b"
+
+    def test_kernel_less_entry_is_scalar_only(self):
+        registry = SchemeRegistry()
+
+        @registry.register("plain")
+        def _runner(n_bins, policy="strict"):  # pragma: no cover - never run
+            return None
+
+        info = registry.get("plain")
+        assert info.kernel is None
+        assert info.vectorized is None
+        assert info.compiled is None
+        assert info.online is None
+        description = info.describe()
+        assert description["engines"] == ["scalar"]
+        assert description["online"] is False
+        assert description["kernel_derived"] is False
+        params = {"n_bins": 8}
+        assert vectorized_unsupported_reason(info, None, params) == (
+            "scheme 'plain' has no vectorized engine; available engines: scalar"
+        )
+        assert vectorized_fastpath_reason(info, None, params) == (
+            vectorized_unsupported_reason(info, None, params)
+        )
+        assert compiled_unsupported_reason(info, None, params) == (
+            "scheme 'plain' has no compiled engine; available engines: scalar"
+        )
+        assert compiled_fastpath_reason(info, None, params) == (
+            compiled_unsupported_reason(info, None, params)
+        )
+        assert online_unsupported_reason(info, None, params).startswith(
+            "scheme 'plain' has no online allocator;"
+        )
 
     def test_registry_summary_defaults_to_docstring(self):
         registry = SchemeRegistry()

@@ -25,38 +25,20 @@ class TestRealRegistryIsClean:
         for name in available_schemes():
             info = get_scheme(name)
             if name in EXEMPT_SCHEMES:
-                assert info.kernel is None
+                assert name not in KERNELS
+                assert info.describe()["kernel_derived"] is False
             else:
-                assert info.kernel == name
-                assert name in KERNELS
+                assert info.kernel is KERNELS[name]
+                assert info.describe()["kernel_derived"] is True
 
     def test_registry_surfaces_are_the_kernel_objects(self):
-        # Identity, not equality: a re-wrapped engine would still compare
-        # equal behaviourally but is exactly the duplication the kernel
-        # contract removed.
+        # The registry holds the record itself; its engine surfaces are
+        # read from it, so identity of the record is identity of them all.
         for name, kernel in KERNELS.items():
-            info = get_scheme(name)
-            assert info.vectorized is kernel.engines.get("vectorized")
-            assert info.compiled is kernel.engines.get("compiled")
-            assert info.online is kernel.stepper
-            assert info.vectorized_guard is kernel.vectorized_guard
-            assert info.vectorized_fastpath_guard is kernel.fastpath_guard
+            assert get_scheme(name).kernel is kernel
 
 
 class TestLintCatchesDrift:
-    def test_rewrapped_engine_is_a_violation(self, monkeypatch):
-        from repro.api.registry import REGISTRY
-
-        info = REGISTRY.get("kd_choice")
-        drifted = lambda **kwargs: info.vectorized(**kwargs)  # noqa: E731
-        monkeypatch.setitem(
-            REGISTRY._schemes,
-            "kd_choice",
-            _replace(info, vectorized=drifted),
-        )
-        problems = _kernel_surface_violations()
-        assert any("kd_choice" in p and "vectorized" in p for p in problems)
-
     def test_non_exempt_kernel_free_scheme_is_a_violation(self, monkeypatch):
         from repro.api.registry import REGISTRY
 
@@ -66,6 +48,30 @@ class TestLintCatchesDrift:
         )
         problems = _kernel_surface_violations()
         assert any("kd_choice" in p and "kernel-backed" in p for p in problems)
+
+    def test_copied_kernel_record_is_a_violation(self, monkeypatch):
+        # An equal record is not the table's record: a copy could drift.
+        from repro.api.registry import REGISTRY
+
+        info = REGISTRY.get("two_choice")
+        copy = _replace(KERNELS["two_choice"])
+        assert copy == KERNELS["two_choice"]
+        monkeypatch.setitem(
+            REGISTRY._schemes, "two_choice", _replace(info, kernel=copy)
+        )
+        problems = _kernel_surface_violations()
+        assert any("two_choice" in p and "kernel-backed" in p for p in problems)
+
+    def test_topology_scheme_without_its_record_is_a_violation(self, monkeypatch):
+        from repro.api.lint import _topology_registry_violations
+        from repro.api.registry import REGISTRY
+
+        info = REGISTRY.get("locality_two_choice")
+        monkeypatch.setitem(
+            REGISTRY._schemes, "locality_two_choice", _replace(info, kernel=None)
+        )
+        problems = _topology_registry_violations()
+        assert any("locality_two_choice" in p for p in problems)
 
 
 def _replace(info, **overrides):

@@ -1,7 +1,7 @@
 """Streaming-vs-batch equivalence harness for the online allocator.
 
 The contract locked down here is the one :mod:`repro.online` advertises:
-for every scheme registered ``online=``, streaming the spec's ``n_balls``
+for every scheme with an online stepper, streaming the spec's ``n_balls``
 items — one :meth:`place` at a time, through chunked :meth:`place_batch`
 calls, or any mix — produces loads, message/round accounting **and
 generator state** bit-for-bit identical to ``simulate()`` of the same spec.

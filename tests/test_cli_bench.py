@@ -1,7 +1,8 @@
 """CLI regression gate: ``schemes --check``.
 
 The command exists so CI can fail fast with an actionable message: the
-parity lint names the scheme or module that drifted from the kernel table.
+lint names the scheme registered without its kernel record, or the
+workload or topology surface that drifted from its registry.
 Cross-run throughput comparison is ``perfbench/run.py --compare``.
 """
 

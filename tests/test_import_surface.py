@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +109,26 @@ def test_spec_api_is_the_front_door():
         SchemeSpec(scheme="kd_choice", params={"n_bins": 128, "k": 2, "d": 4}, seed=0)
     )
     assert result.total_balls_check()
+
+
+def test_importing_the_server_loads_no_experiment_or_substrate_package():
+    # The subpackages load on first access, so `repro serve` start-up does
+    # not pay for the recipes or the substrate simulators.
+    source_root = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (source_root, env.get("PYTHONPATH")))
+    )
+    probe = (
+        "import sys, repro.serve; "
+        "print(sorted(m for m in ('repro.experiments', 'repro.cluster', "
+        "'repro.storage') if m in sys.modules))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert completed.stdout.strip() == "[]"
 
 
 def test_version_is_a_string():
