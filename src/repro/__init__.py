@@ -92,14 +92,10 @@ __all__ = [
     "storage",
 ]
 
-#: Subpackages imported on first attribute access (PEP 562), so a process
-#: that needs only the allocator (``repro serve``) does not load them.
-_LAZY_SUBPACKAGES = frozenset(
-    {"analysis", "cluster", "experiments", "simulation", "storage"}
-)
-
 
 def __getattr__(name: str):
-    if name in _LAZY_SUBPACKAGES:
+    # Subpackages load on first access (PEP 562), so a process that needs
+    # only the allocator (``repro serve``) does not load them.
+    if name in ("analysis", "cluster", "experiments", "simulation", "storage"):
         return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

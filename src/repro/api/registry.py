@@ -126,6 +126,37 @@ class SchemeInfo:
         }
 
 
+_dataclass_init = SchemeInfo.__init__
+
+
+def _init_with_engine_swaps(
+    self: SchemeInfo,
+    *args: Any,
+    vectorized: Optional[Runner] = None,
+    compiled: Optional[Runner] = None,
+    **fields: Any,
+) -> None:
+    """``SchemeInfo``'s constructor: the dataclass fields, plus engine swaps.
+
+    ``dataclasses.replace(info, vectorized=f, compiled=g)`` yields a record
+    holding a copy of ``info.kernel`` with ``f`` and ``g`` as its batch
+    engines (how instrumentation times a scheme's engines); the shared
+    record is left alone.  The engines are not fields, so ``replace`` never
+    passes them back in unasked.
+    """
+    _dataclass_init(self, *args, **fields)
+    swapped = {
+        mode: engine
+        for mode, engine in (("vectorized", vectorized), ("compiled", compiled))
+        if engine is not None
+    }
+    if swapped:
+        object.__setattr__(self, "kernel", self.kernel.with_engines(swapped))
+
+
+SchemeInfo.__init__ = _init_with_engine_swaps  # type: ignore[method-assign]
+
+
 def _introspect(runner: Runner) -> Tuple[Tuple[str, ...], Dict[str, Any], Tuple[str, ...]]:
     """Extract (parameter names, defaults, required names) from a runner."""
     names: List[str] = []

@@ -84,37 +84,6 @@ from .workloads import (
     workloads_dump,
 )
 
-from .experiments import (
-    ablation_table,
-    churn_table,
-    exact_validation_table,
-    generate_report,
-    heavy_table,
-    majorization_table,
-    open_question_table,
-    regime_table,
-    run_churn_experiment,
-    run_exact_validation,
-    run_heavy_case,
-    run_load_profile,
-    run_majorization_chain,
-    run_open_question_heavy,
-    run_policy_ablation,
-    run_regime_scaling,
-    run_scheduling_experiment,
-    run_staleness_experiment,
-    run_storage_experiment,
-    run_table1,
-    run_tradeoff,
-    run_weighted_experiment,
-    scheduling_table,
-    staleness_table,
-    storage_table,
-    tradeoff_table,
-    weighted_table,
-)
-from .simulation.results import ResultTable
-
 __all__ = ["main", "build_parser"]
 
 #: Values that should have parsed as a Python literal (numbers, quoted
@@ -701,11 +670,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print(table_or_text: "ResultTable | str") -> None:
-    if isinstance(table_or_text, ResultTable):
-        print(table_or_text.to_text())
-    else:
-        print(table_or_text)
+def _print(table_or_text: object) -> None:
+    """Print a string as is and a ``ResultTable`` as its text rendering."""
+    print(table_or_text if isinstance(table_or_text, str) else table_or_text.to_text())
 
 
 def _collect_params(pairs: Sequence[Tuple[str, object]]) -> Dict[str, object]:
@@ -1164,18 +1131,19 @@ def _run_workloads(args: argparse.Namespace) -> None:
         print(f"{name:<{width}}  {get_workload(name).summary}")
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point for ``repro-kd`` / ``python -m repro``."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    # Reject the combination before any work runs: a long computation that
-    # only errors at the end would waste the whole run.
-    if (
-        getattr(args, "cache_max_entries", None) is not None
-        and not getattr(args, "cache_dir", None)
-    ):
-        parser.error("--cache-max-entries requires --cache-dir")
+def _run_recipe(args: argparse.Namespace) -> None:
+    """The experiment recipes: imported here, so the service commands
+    (``serve``, ``simulate``, ...) start without loading them."""
+    from .experiments import (
+        ablation_table, churn_table, exact_validation_table, generate_report,
+        heavy_table, majorization_table, open_question_table, regime_table,
+        run_churn_experiment, run_exact_validation, run_heavy_case,
+        run_load_profile, run_majorization_chain, run_open_question_heavy,
+        run_policy_ablation, run_regime_scaling, run_scheduling_experiment,
+        run_staleness_experiment, run_table1, run_tradeoff,
+        run_weighted_experiment, scheduling_table, staleness_table,
+        tradeoff_table, weighted_table,
+    )
 
     if args.command == "table1":
         if args.small:
@@ -1195,22 +1163,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _print(result.to_text())
         _print_cache_stats(store)
         _prune_cache(store, args.cache_max_entries)
-    elif args.command == "schemes":
-        _run_schemes(args)
-    elif args.command == "workloads":
-        _run_workloads(args)
-    elif args.command == "topology":
-        _run_topology(args)
-    elif args.command == "simulate":
-        _run_simulate(args)
-    elif args.command == "stream":
-        _run_stream(args)
-    elif args.command == "replay":
-        _run_replay(args)
-    elif args.command == "serve":
-        _run_serve(args)
-    elif args.command == "loadgen":
-        _run_loadgen(args)
     elif args.command == "profile":
         result = run_load_profile(n=args.n, seed=args.seed)
         lines: List[str] = []
@@ -1251,73 +1203,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 )
             )
         )
-    elif args.command == "cluster":
-        params = {
-            "n_workers": args.workers,
-            "n_jobs": args.trace_jobs,
-            "tasks_per_job": args.tasks_per_job,
-            "probe_ratio": args.probe_ratio,
-            "arrival_rate": args.arrival_rate,
-            "duration_distribution": args.distribution,
-            "duration_shape": args.duration_shape,
-            "arrival_process": args.arrival_process,
-            "burstiness": args.burstiness,
-            "speed_spread": args.speed_spread,
-        }
-        if args.workload is not None:
-            # The substrate stamps its own arrival process; a workload
-            # drives it through the record's arrivals hook.  The arrival
-            # flags set the same parameters, so combining the two would be
-            # ambiguous.
-            arrival_defaults = {
-                "arrival_process": "poisson",
-                "arrival_rate": 8.0,
-                "burstiness": 4.0,
-            }
-            drifted = sorted(
-                f"--{flag.replace('_', '-')}"
-                for flag, default in arrival_defaults.items()
-                if getattr(args, flag) != default
-            )
-            if drifted:
-                raise SystemExit(
-                    f"error: pass either --workload {args.workload} (with "
-                    f"--workload-param) or the arrival flags "
-                    f"{', '.join(drifted)} — not both"
-                )
-            try:
-                params.update(
-                    substrate_arrivals(args.workload, _workload_param_args(args))
-                )
-            except WorkloadError as exc:
-                raise SystemExit(f"error: {exc}") from None
-        else:
-            _workload_param_args(args)  # rejects --workload-param alone
-        _run_substrate(args, "cluster_scheduling", params)
-    elif args.command == "storage":
-        if args.compare:
-            _print(
-                storage_table(
-                    run_storage_experiment(
-                        n_servers=args.servers, n_files=args.files, seed=args.seed
-                    )
-                )
-            )
-        else:
-            _run_substrate(
-                args,
-                "storage_placement",
-                {
-                    "n_servers": args.servers,
-                    "n_files": args.files,
-                    "replicas": args.replicas,
-                    "extra_probes": args.extra_probes,
-                    "mode": args.mode,
-                    "size_distribution": args.size_dist,
-                    "fail_fraction": args.fail_fraction,
-                    "rebuild": args.rebuild,
-                },
-            )
     elif args.command == "majorization":
         _print(
             majorization_table(
@@ -1369,8 +1254,110 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"wrote {args.output} ({len(report.sections)} sections)")
         else:
             print(markdown)
-    else:  # pragma: no cover - argparse enforces the choices
-        parser.error(f"unknown command {args.command!r}")
+    else:  # pragma: no cover - main routes only the recipe commands here
+        raise ValueError(f"unknown command {args.command!r}")
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Entry point for ``repro-kd`` / ``python -m repro``."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+
+    # Reject the combination before any work runs: a long computation that
+    # only errors at the end would waste the whole run.
+    if (
+        getattr(args, "cache_max_entries", None) is not None
+        and not getattr(args, "cache_dir", None)
+    ):
+        parser.error("--cache-max-entries requires --cache-dir")
+
+    if args.command == "schemes":
+        _run_schemes(args)
+    elif args.command == "workloads":
+        _run_workloads(args)
+    elif args.command == "topology":
+        _run_topology(args)
+    elif args.command == "simulate":
+        _run_simulate(args)
+    elif args.command == "stream":
+        _run_stream(args)
+    elif args.command == "replay":
+        _run_replay(args)
+    elif args.command == "serve":
+        _run_serve(args)
+    elif args.command == "loadgen":
+        _run_loadgen(args)
+    elif args.command == "cluster":
+        params = {
+            "n_workers": args.workers,
+            "n_jobs": args.trace_jobs,
+            "tasks_per_job": args.tasks_per_job,
+            "probe_ratio": args.probe_ratio,
+            "arrival_rate": args.arrival_rate,
+            "duration_distribution": args.distribution,
+            "duration_shape": args.duration_shape,
+            "arrival_process": args.arrival_process,
+            "burstiness": args.burstiness,
+            "speed_spread": args.speed_spread,
+        }
+        if args.workload is not None:
+            # The substrate stamps its own arrival process; a workload
+            # drives it through the record's arrivals hook.  The arrival
+            # flags set the same parameters, so combining the two would be
+            # ambiguous.
+            arrival_defaults = {
+                "arrival_process": "poisson",
+                "arrival_rate": 8.0,
+                "burstiness": 4.0,
+            }
+            drifted = sorted(
+                f"--{flag.replace('_', '-')}"
+                for flag, default in arrival_defaults.items()
+                if getattr(args, flag) != default
+            )
+            if drifted:
+                raise SystemExit(
+                    f"error: pass either --workload {args.workload} (with "
+                    f"--workload-param) or the arrival flags "
+                    f"{', '.join(drifted)} — not both"
+                )
+            try:
+                params.update(
+                    substrate_arrivals(args.workload, _workload_param_args(args))
+                )
+            except WorkloadError as exc:
+                raise SystemExit(f"error: {exc}") from None
+        else:
+            _workload_param_args(args)  # rejects --workload-param alone
+        _run_substrate(args, "cluster_scheduling", params)
+    elif args.command == "storage":
+        if args.compare:
+            from .experiments import run_storage_experiment, storage_table
+
+            _print(
+                storage_table(
+                    run_storage_experiment(
+                        n_servers=args.servers, n_files=args.files, seed=args.seed
+                    )
+                )
+            )
+        else:
+            _run_substrate(
+                args,
+                "storage_placement",
+                {
+                    "n_servers": args.servers,
+                    "n_files": args.files,
+                    "replicas": args.replicas,
+                    "extra_probes": args.extra_probes,
+                    "mode": args.mode,
+                    "size_distribution": args.size_dist,
+                    "fail_fraction": args.fail_fraction,
+                    "rebuild": args.rebuild,
+                },
+            )
+    else:
+        _run_recipe(args)
     return 0
 
 

@@ -28,7 +28,7 @@ described on :class:`Kernel`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..baselines import run_batch_random, run_single_choice
@@ -187,6 +187,13 @@ class Kernel:
         if self.compiled:
             engines["compiled"] = functools.partial(drive, self, "compiled")
         return engines
+
+    def with_engines(self, engines: Mapping[str, Callable[..., AllocationResult]]) -> "Kernel":
+        """A copy of this record whose batch engines are ``engines``, by
+        name, over the derived ones (how instrumentation wraps them)."""
+        copy = replace(self)
+        copy.__dict__["engines"] = {**self.engines, **engines}
+        return copy
 
 
 #: Schemes outside this table: their engines are bespoke substrate

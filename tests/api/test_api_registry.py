@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api import (
@@ -149,6 +151,24 @@ class TestCatalogue:
         assert online_unsupported_reason(info, None, params).startswith(
             "scheme 'plain' has no online allocator;"
         )
+
+    def test_replace_swaps_engines_into_a_kernel_copy(self):
+        # Instrumentation (the traced sim_grid benchmark) wraps a scheme's
+        # engines with dataclasses.replace; the shared record stays intact.
+        info = get_scheme("kd_choice")
+        kernel = info.kernel
+        engines = dict(kernel.engines)
+        assert dataclasses.replace(info, runner=print).kernel is kernel
+
+        def timed(**kwargs):
+            return info.compiled(**kwargs)
+
+        swapped = dataclasses.replace(info, runner=print, compiled=timed)
+        assert swapped.compiled is timed
+        assert swapped.vectorized is info.vectorized
+        assert swapped.online is info.online
+        assert swapped.kernel is not kernel and swapped.kernel.name == kernel.name
+        assert info.kernel is kernel and kernel.engines == engines
 
     def test_registry_summary_defaults_to_docstring(self):
         registry = SchemeRegistry()

@@ -111,16 +111,17 @@ def test_spec_api_is_the_front_door():
     assert result.total_balls_check()
 
 
-def test_importing_the_server_loads_no_experiment_or_substrate_package():
-    # The subpackages load on first access, so `repro serve` start-up does
-    # not pay for the recipes or the substrate simulators.
+def test_serve_entry_path_loads_no_experiment_or_substrate_package():
+    # `repro serve` runs through repro.cli; the subpackages and the recipe
+    # imports load on first use, so its start-up does not pay for the
+    # recipes or the substrate simulators.
     source_root = str(Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (source_root, env.get("PYTHONPATH")))
     )
     probe = (
-        "import sys, repro.serve; "
+        "import sys, repro.cli, repro.serve; "
         "print(sorted(m for m in ('repro.experiments', 'repro.cluster', "
         "'repro.storage') if m in sys.modules))"
     )
