@@ -401,8 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--mode", choices=["process", "thread"], default="process",
-        help="shard isolation: one process per shard (default) or one "
-        "thread (debugging)",
+        help="shard host: one process per shard (default; a shard that "
+        "dies leaves the server standing) or one thread per shard in the "
+        "server process (no pickling, no child processes)",
     )
     serve.add_argument("--host", type=str, default="127.0.0.1")
     serve.add_argument(

@@ -3,8 +3,9 @@
 :mod:`repro.online` made the allocator a long-lived service; this package
 makes it *horizontal*: N allocator shards (one
 :class:`~repro.online.allocator.OnlineAllocator` per worker process, or per
-thread for debugging) behind a pluggable router, fronted by an asyncio TCP
-server that coalesces concurrent placements into ``place_batch`` windows.
+thread in the caller's process) behind a pluggable router, fronted by an
+asyncio TCP server that runs concurrent requests in ordered windows, one
+shard exchange per window.
 The shard-routing question is itself a (k, d)-choice instance, so the
 default policy is the paper's own ``two_choice`` scheme applied to the
 shard load vector.

@@ -78,7 +78,8 @@ class LoadgenReport:
                 f"mean_window={self.server['mean_window']:.1f}, "
                 f"batches={self.server['batches']}, "
                 f"mean_batch={self.server['mean_batch']:.1f}, "
-                f"largest_batch={self.server['largest_batch']}"
+                f"largest_batch={self.server['largest_batch']}, "
+                f"pool_exchanges={self.server['pool_exchanges']}"
             )
         if self.pool:
             lines.append(

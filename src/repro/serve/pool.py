@@ -1,14 +1,16 @@
 """The shard pool: N :class:`OnlineAllocator` workers behind one router.
 
-A :class:`ShardPool` scales the streaming allocator horizontally: each shard
-is a full, independent :class:`~repro.online.allocator.OnlineAllocator`
-(its own bins, its own RNG stream, its own telemetry) running either in a
-worker *process* (``mode="process"`` — placements/sec scales with cores) or
-a worker *thread* (``mode="thread"`` — the zero-IPC fallback for
-single-core debugging).  A pluggable :class:`~repro.serve.router.Router`
-decides which shard serves each request; the routing question is itself a
-(k, d)-choice instance, so the default policy is the paper's own
-``two_choice`` applied to the shard load vector.
+A :class:`ShardPool` runs N independent shards: each is a full
+:class:`~repro.online.allocator.OnlineAllocator` (its own bins, its own RNG
+stream, its own telemetry) hosted either in a worker *process*
+(``mode="process"``: each shard has its own interpreter and memory, and a
+shard that crashes or is killed leaves the server process standing) or on a
+worker *thread* (``mode="thread"``: the shards live in the caller's process
+behind in-process queues, with no pickling and no child processes).  A
+pluggable :class:`~repro.serve.router.Router` decides which shard serves
+each request; the routing question is itself a (k, d)-choice instance, so
+the default policy is the paper's own ``two_choice`` applied to the shard
+load vector.
 
 Determinism contract
 --------------------
@@ -33,14 +35,20 @@ before raising the first failure, so a dead or rejecting shard never leaves
 another shard's reply unread.  Failures read the same in both modes:
 "shard N failed to start", "shard N died", "shard N: <error>".
 
-Removes
--------
-Every shard command is an *envelope*: that shard's queued removes, then
-the command.  The pool keeps each tracked item's ``(shard, bin)``, so
-:meth:`ShardPool.remove` answers from that map and only queues the id; the
-worker applies it ahead of the shard's next command (``place_batch``
-addresses shards that only have removes queued, so none outlives it).  A
-shard therefore sees the same op sequence as with one message per remove.
+Outboxes and windows
+--------------------
+Each shard has an ordered *outbox* of ``("remove", item)`` and
+``("place", count, items)`` entries.  :meth:`ShardPool.remove` answers from
+the pool's ``(shard, bin)`` map and only queues the id;
+:meth:`ShardPool.place_batch` routes against the pool's own shard counts,
+credits them and queues one sub-batch per shard.  Every shard command is an
+*envelope*: that shard's outbox, then the command.  The worker applies the
+outbox in order and replies with the bins of each queued place next to the
+command's reply, so a shard sees the same op sequence as with one message
+per op.  Outside a :meth:`ShardPool.window` a ``place_batch`` exchanges at
+once; inside one, the places wait for the end of the block, so a window
+costs one envelope per busy shard however many runs of places it holds.
+A remove of an item whose bin is still pending flushes that shard first.
 
 Snapshots
 ---------
@@ -54,10 +62,12 @@ manifests to disk atomically (``*.tmp`` + ``os.replace``).
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import queue
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,6 +95,9 @@ MANIFEST_VERSION = 1
 #: Supported shard execution modes.
 MODES = ("process", "thread")
 
+#: The bin of a queued place until its shard answers.
+_PENDING = -1
+
 
 class ShardPoolError(ValueError):
     """Raised for bad pool requests, dead shards and corrupt manifests."""
@@ -107,24 +120,41 @@ class _ShardServer:
             assert spec is not None
             self.allocator = OnlineAllocator(spec)
 
-    def handle(self, message: Tuple[Any, ...]) -> Any:
-        """Apply the envelope's queued removes in order, then run its op."""
-        op, removes, *args = message
+    def handle(self, message: Tuple[Any, ...]) -> Tuple[List[List[int]], Any]:
+        """Apply the envelope's outbox in order, then run its op.
+
+        Returns ``(bins of each queued place, the op's reply)``.  Every
+        queued entry is tried; if any failed, the first failure is raised
+        once the rest have run, and the op does not run.
+        """
+        op, queued, *args = message
         allocator = self.allocator
+        placed: List[List[int]] = []
         rejected = None
-        for item in removes:
+        for entry in queued:
             try:
-                allocator.remove(item)
+                if entry[0] == "remove":
+                    allocator.remove(entry[1])
+                else:
+                    placed.append(
+                        allocator.place_batch(entry[1], items=entry[2]).tolist()
+                    )
             except Exception as exc:
+                what = (
+                    f"remove of item {entry[1]!r}" if entry[0] == "remove"
+                    else f"place of {entry[1]} items"
+                )
                 rejected = rejected or (
-                    f"queued remove of item {item!r} rejected: "
-                    f"{type(exc).__name__}: {exc}"
+                    f"queued {what} rejected: {type(exc).__name__}: {exc}"
                 )
         if rejected is not None:
             raise ShardPoolError(rejected)
-        if op == "place_batch":
-            count, items = args
-            return allocator.place_batch(count, items=items).tolist()
+        return placed, self._command(op)
+
+    def _command(self, op: str) -> Any:
+        allocator = self.allocator
+        if op in ("flush", "stop"):
+            return None
         if op == "loads":
             return np.array(allocator.loads, copy=True)
         if op == "snapshot":
@@ -135,8 +165,6 @@ class _ShardServer:
             return allocator.telemetry.counters()
         if op == "items":
             return allocator.placed, allocator.removed, allocator.items()
-        if op == "stop":
-            return None
         raise ShardPoolError(f"unknown shard op {op!r}")
 
 
@@ -305,10 +333,11 @@ class ShardPool:
         A registered router policy name (``round_robin``, ``least_loaded``,
         ``two_choice``) or a pre-built :class:`Router` instance.
     mode:
-        ``"process"`` (one OS process per shard, scales with cores) or
-        ``"thread"`` (one thread per shard, zero IPC — the ``n_jobs=1``
-        debugging fallback).  Both run the same shard loop; only the
-        host and the channel differ.
+        ``"process"`` (one OS process per shard: a shard that dies leaves
+        the caller standing) or ``"thread"`` (one thread per shard in the
+        caller's process, over in-process queues: no pickling, no child
+        processes).  Both run the same shard loop; only the host and the
+        channel differ.
     policy_params:
         Extra keyword parameters of the policy factory (e.g. ``{"d": 4}``).
     """
@@ -366,7 +395,15 @@ class ShardPool:
         except SchemeSpecError as exc:
             raise ShardPoolError(str(exc)) from None
         self._shards: List[_Shard] = []
-        self._outboxes: List[List[Any]] = [[] for _ in payloads]
+        # Per shard, the ordered ops its next envelope carries, and for each
+        # queued place the (bins array, positions, item ids) its reply fills.
+        self._outboxes: List[List[Tuple[Any, ...]]] = [[] for _ in payloads]
+        self._fills: List[List[Tuple[np.ndarray, np.ndarray, Any]]] = [
+            [] for _ in payloads
+        ]
+        self._deferring = False
+        self._window_failure: Optional[ShardPoolError] = None
+        self.exchanges = 0  # _exchange calls; the server reports it
         self._closed = False
         try:
             for index, payload in enumerate(payloads):
@@ -445,30 +482,89 @@ class ShardPool:
     def _exchange(self, commands: Dict[int, Tuple[Any, ...]]) -> List[Any]:
         """Run ``{shard: (op, *args)}`` concurrently; replies in dict order.
 
-        Each envelope takes its shard's queued removes ahead of the op.  All
-        envelopes are sent before any reply is read, and every shard a send
-        reached is read back before the first failure is raised, so no
-        reply is ever left for a later command to take as its own.
+        Each envelope takes its shard's outbox ahead of the op, and each
+        reply fills the bins (and the ``(shard, bin)`` map entries) of the
+        places that outbox held.  All envelopes are sent before any reply is
+        read, and every shard a send reached is read back before the first
+        failure is raised, so no reply is ever left for a later command to
+        take as its own.  A shard that fails leaves its queued places' bins
+        at -1 and their item ids untracked.
         """
-        reached: List[_Shard] = []
+        self.exchanges += 1
+        reached: List[int] = []
         failure: Optional[ShardPoolError] = None
         for index, (op, *args) in commands.items():
-            removes, self._outboxes[index] = self._outboxes[index], []
-            shard = self._shards[index]
+            queued, self._outboxes[index] = self._outboxes[index], []
             try:
-                shard.submit((op, removes, *args))
-                reached.append(shard)
+                self._shards[index].submit((op, queued, *args))
+                reached.append(index)
             except ShardPoolError as exc:
                 failure = failure or exc
+                self._drop_fills(index)
         replies: List[Any] = []
-        for shard in reached:
+        for index in reached:
             try:
-                replies.append(shard.result())
+                placed, reply = self._shards[index].result()
             except ShardPoolError as exc:
                 failure = failure or exc
+                self._drop_fills(index)
+                continue
+            for (bins, where, items), shard_bins in zip(self._fills[index], placed):
+                bins[where] = shard_bins
+                if items is not None:
+                    self._items.update(zip(items, zip(repeat(index), shard_bins)))
+            self._fills[index] = []
+            replies.append(reply)
         if failure is not None:
+            if self._deferring:
+                self._window_failure = self._window_failure or failure
             raise failure
         return replies
+
+    def _drop_fills(self, index: int) -> None:
+        """Forget the places queued for a failed shard: their bins are unknown."""
+        for _, _, items in self._fills[index]:
+            for item in items or ():
+                self._items.pop(item, None)
+        self._fills[index] = []
+
+    def _flush(self, shard: Optional[int] = None) -> None:
+        """Send queued places: to ``shard`` alone, or to every busy shard.
+
+        Without ``shard`` nothing is sent unless some place is queued; then
+        every shard with a non-empty outbox gets one envelope, so the
+        removes travel with the places.
+        """
+        if shard is not None:
+            targets = [shard]
+        elif any(self._fills):
+            targets = [i for i, box in enumerate(self._outboxes) if box]
+        else:
+            return
+        self._exchange({index: ("flush",) for index in targets})
+
+    @contextlib.contextmanager
+    def window(self) -> Iterator["ShardPool"]:
+        """Defer the shard exchange of every ``place_batch`` to the block's end.
+
+        Inside the block ``place_batch`` routes, credits the counts and
+        queues, and returns its ``bins`` array still holding -1; one
+        exchange when the block ends sends each busy shard one envelope
+        and fills those arrays in place.  A remove of an item whose bin is
+        still pending, and every broadcast command (``snapshot``,
+        ``summary``, ...), exchange early with the shards they need.  If
+        any exchange in the block failed, the block ends by raising the
+        first failure once the closing exchange has run.
+        """
+        self._deferring = True
+        try:
+            yield self
+        finally:
+            self._deferring = False
+            failure, self._window_failure = self._window_failure, None
+            self._flush()
+        if failure is not None:
+            raise failure
 
     def _broadcast(self, op: str) -> List[Any]:
         """Run ``op`` on every shard concurrently; replies in shard order."""
@@ -476,10 +572,16 @@ class ShardPool:
         return self._exchange({index: (op,) for index in range(self.n_shards)})
 
     def place(self, item: Any = None) -> Tuple[int, int]:
-        """Route and place one item; returns ``(shard, bin)``."""
+        """Route and place one item; returns ``(shard, bin)``.
+
+        Inside a :meth:`window` this exchanges with the item's shard at
+        once, so the bin is known on return.
+        """
         shards, bins = self.place_batch(
             1, items=None if item is None else [item]
         )
+        if bins[0] < 0:
+            self._flush(int(shards[0]))
         return int(shards[0]), int(bins[0])
 
     def place_batch(
@@ -488,12 +590,12 @@ class ShardPool:
         """Route and place ``count`` items arriving as one window.
 
         Returns ``(shards, bins)`` in arrival order.  Routing is computed
-        sequentially against the live shard-load vector (bit-identical to
-        ``count`` single :meth:`place` calls); the per-shard placements then
-        run concurrently — every shard receives its sub-batch before any
-        result is collected.  Shards with queued removes but no places get
-        a count-0 envelope in the same dispatch, so no remove stays queued
-        past this call.
+        sequentially against the pool's live shard counts (bit-identical to
+        ``count`` single :meth:`place` calls) and credited at once; each
+        shard's sub-batch joins its outbox.  Outside a :meth:`window` the
+        busy shards are exchanged with before this returns, concurrently;
+        inside one, ``bins`` holds -1 until the window's exchange fills it
+        in place.
         """
         self._check_open()
         count = int(count)
@@ -521,23 +623,20 @@ class ShardPool:
                 f"pool's planned capacity {self.capacity} remain"
             )
         shards = self.router.route_batch(count, self._shard_items)
-        bins = np.empty(count, dtype=np.int64)
-        positions = [np.flatnonzero(shards == i) for i in range(self.n_shards)]
-        commands = {
-            i: (
-                "place_batch",
-                len(where),
-                [items[p] for p in where] if items is not None else None,
-            )
-            for i, where in enumerate(positions)
-            if len(where) or self._outboxes[i]
-        }
-        for shard_index, shard_bins in zip(commands, self._exchange(commands)):
-            bins[positions[shard_index]] = shard_bins
-            self._shard_items[shard_index] += len(positions[shard_index])
+        bins = np.full(count, _PENDING, dtype=np.int64)
+        for index in range(self.n_shards):
+            where = np.flatnonzero(shards == index)
+            if not len(where):
+                continue
+            run = [items[p] for p in where] if items is not None else None
+            self._outboxes[index].append(("place", len(where), run))
+            self._fills[index].append((bins, where, run))
+            self._shard_items[index] += len(where)
         self.placed += count
         if items is not None:
-            self._items.update(zip(items, zip(shards.tolist(), bins.tolist())))
+            self._items.update(zip(items, zip(shards.tolist(), repeat(_PENDING))))
+        if not self._deferring:
+            self._flush()
         return shards, bins
 
     def remove(self, item: Any) -> Tuple[int, int]:
@@ -545,17 +644,22 @@ class ShardPool:
 
         Answered from the pool's own map without a message: the item joins
         its shard's outbox, which rides ahead of that shard's next command.
-        A shard that rejects it fails that command, naming the item.
+        An item whose place is still queued flushes its shard first.  A
+        shard that rejects the remove fails that command, naming the item.
         """
         self._check_open()
         try:
-            shard_index, bin_index = self._items.pop(item)
+            shard_index, bin_index = self._items[item]
         except KeyError:
             raise ShardPoolError(
                 f"unknown item {item!r}; place it with an item id before "
                 f"removing it"
             ) from None
-        self._outboxes[shard_index].append(item)
+        if bin_index == _PENDING:
+            self._flush(shard_index)
+            bin_index = self._items[item][1]
+        del self._items[item]
+        self._outboxes[shard_index].append(("remove", item))
         self._shard_items[shard_index] -= 1
         self.removed += 1
         return shard_index, bin_index

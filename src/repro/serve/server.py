@@ -5,14 +5,18 @@ serves the :mod:`~repro.serve.protocol` over TCP.  Every mutating request
 (place, place_batch, remove, snapshot) — from any number of connections —
 joins one queue in arrival order.  The batcher takes everything queued
 (up to ``max_batch`` ops) as one *window* and runs it on the pool thread in
-a single executor job: each run of ``place`` requests becomes one
-:meth:`ShardPool.place_batch` call, riding the allocator's batched
-ingestion path, and removes, batches and snapshots run in their arrival
-positions.  A remove costs no shard round trip: the pool answers it from
-its own ``(shard, bin)`` map and ships it ahead of that shard's next
-command.  The window is self-clocked: while the pool thread works, the
-next window collects, so there is no timer — a lone request is served at
-once and load grows the windows by itself.
+a single executor job, inside one :meth:`ShardPool.window`: each run of
+``place`` requests becomes one :meth:`ShardPool.place_batch` call, riding
+the allocator's batched ingestion path, and removes, batches and snapshots
+run in their arrival positions.  Neither a place nor a remove messages a
+shard on its own: the pool routes against its own shard counts, answers
+removes from its ``(shard, bin)`` map, and queues both in each shard's
+ordered outbox; when the window ends, each busy shard gets one envelope
+and the places' bins are filled in.  A failed exchange anywhere in the
+window fails every place of that window; removes keep their answers.  The
+window is self-clocked: while the pool thread works, the next window
+collects, so there is no timer — a lone request is served at once and load
+grows the windows by itself.
 
 Ordering semantics: the pool sees every mutating operation in arrival
 order, so a ``remove`` acts after the places queued before it and a
@@ -261,24 +265,37 @@ class AllocationServer:
         return steps
 
     def _run_window(self, steps: List[tuple]) -> List[Any]:
-        """Pool thread: run each step in order; one result or error each."""
+        """Pool thread: run each step in order; one result or error each.
+
+        The steps run inside one pool window, so the places reach their
+        shards in one exchange when it ends; if any exchange of the window
+        failed, every place of the window fails with it.
+        """
         pool = self.pool
         outcomes: List[Any] = []
-        for kind, payload, _ in steps:
-            try:
-                if kind == "place":
-                    outcome = pool.place_batch(
-                        len(payload), payload if payload[0] is not None else None
-                    )
-                elif kind == "remove":
-                    outcome = pool.remove(payload)
-                elif kind == "batch":
-                    outcome = pool.place_batch(payload, None)
-                else:
-                    outcome = pool.save(payload)
-            except (ShardPoolError, ValueError, OSError) as exc:
-                outcome = ShardPoolError(str(exc))
-            outcomes.append(outcome)
+        try:
+            with pool.window():
+                for kind, payload, _ in steps:
+                    try:
+                        if kind == "place":
+                            outcome = pool.place_batch(
+                                len(payload),
+                                payload if payload[0] is not None else None,
+                            )
+                        elif kind == "remove":
+                            outcome = pool.remove(payload)
+                        elif kind == "batch":
+                            outcome = pool.place_batch(payload, None)
+                        else:
+                            outcome = pool.save(payload)
+                    except (ShardPoolError, ValueError, OSError) as exc:
+                        outcome = ShardPoolError(str(exc))
+                    outcomes.append(outcome)
+        except ShardPoolError as exc:
+            outcomes = [
+                ShardPoolError(str(exc)) if kind in ("place", "batch") else outcome
+                for (kind, _, _), outcome in zip(steps, outcomes)
+            ]
         return outcomes
 
     def _resolve(self, steps: List[tuple], outcomes: List[Any]) -> None:
@@ -412,7 +429,8 @@ class AllocationServer:
         raise ProtocolError(f"unknown op {op!r}")  # pragma: no cover
 
     def server_stats(self) -> Dict[str, Any]:
-        """Frontend counters (window and batch sizes, error counts)."""
+        """Frontend counters (window and batch sizes, error counts) and the
+        pool's shard exchanges."""
         mean_batch = (
             self.batched_places / self.batches if self.batches else 0.0
         )
@@ -429,4 +447,5 @@ class AllocationServer:
             "largest_batch": self.largest_batch,
             "mean_batch": mean_batch,
             "max_batch": self.config.max_batch,
+            "pool_exchanges": self.pool.exchanges if self.pool is not None else 0,
         }

@@ -369,7 +369,10 @@ class TestQueuedRemoves:
                         covered["restored_removes"] += 1
                     last_removed_run = run_of[arg]
                     continue
-                queued = {item for box in pool._outboxes for item in box}
+                queued = {
+                    entry[1] for box in pool._outboxes for entry in box
+                    if entry[0] == "remove"
+                }
                 covered["queued_replaces"] += len(queued.intersection(arg))
                 expected_shards = router.route_batch(len(arg), counts)
                 shards, bins = pool.place_batch(len(arg), items=arg)
@@ -418,8 +421,10 @@ class TestQueuedRemoves:
             assert sent == []
             assert pool.place("fresh")[0] == 0  # round robin: shard 0
             assert sorted(index for index, _ in sent) == [0, 1]
-            assert dict(sent)[1] == ("place_batch", victims, 0, [])
-            assert dict(sent)[0] == ("place_batch", [], 1, ["fresh"])
+            assert dict(sent)[1] == (
+                "flush", [("remove", item) for item in victims]
+            )
+            assert dict(sent)[0] == ("flush", [("place", 1, ["fresh"])])
             assert pool.summary()["shards"][1]["removed"] == len(victims)
             pool.check_invariants()
 
@@ -456,7 +461,7 @@ class TestQueuedRemoves:
             monkeypatch.setattr(OnlineAllocator, "remove", counted)
             pool.close()  # the stop command carries the last remove
             assert dict(sent) == {
-                index: ("stop", ["i0"] if index == last else [])
+                index: ("stop", [("remove", "i0")] if index == last else [])
                 for index in range(2)
             }
             if mode == "thread":  # the worker applied it before stopping
@@ -505,5 +510,105 @@ class TestQueuedRemoves:
             for index in (0, 2):
                 shard = pool._shards[index]
                 shard.submit(("loads", []))
-                assert isinstance(shard.result(), np.ndarray)
+                placed, loads = shard.result()
+                assert placed == [] and isinstance(loads, np.ndarray)
 
+
+
+def apply_op(pool, op):
+    """One op of a mixed stream; a snapshot answers with its comparable parts."""
+    if op[0] == "place_batch":
+        return pool.place_batch(op[1], items=op[2])
+    if op[0] == "remove":
+        return pool.remove(op[1])
+    manifest = pool.snapshot()
+    return json.dumps(
+        dict(manifest, shards=[entry["digest"] for entry in manifest["shards"]]),
+        sort_keys=True,
+    )
+
+
+class TestWindows:
+    """A window queues its places in each shard's ordered outbox and sends
+    each busy shard one envelope at its end; every answer stays the one
+    the same ops give one by one."""
+
+    MIXED = [
+        ("remove", "p1"),                    # placed before the window
+        ("place_batch", 3, ["a", "b", "c"]),
+        ("place_batch", 4, None),
+        ("remove", "b"),                     # placed in this window
+        ("place_batch", 2, ["b", "d"]),      # the removed id, placed again
+        ("snapshot",),
+        ("remove", "p4"),
+        ("place_batch", 5, ["e", "f", "g", "h", "i"]),
+        ("remove", "d"),
+        ("place_batch", 1, None),
+    ]
+
+    def test_mixed_window_equals_the_same_ops_one_by_one(self, mode):
+        with ShardPool(kd_spec(), 3, mode=mode) as windowed, ShardPool(
+            kd_spec(), 3, mode=mode
+        ) as twin:
+            for pool in (windowed, twin):
+                pool.place_batch(10, items=[f"p{n}" for n in range(10)])
+            with windowed.window():
+                answers = [apply_op(windowed, op) for op in self.MIXED]
+                # The last places wait for the window's end.
+                assert answers[-1][1].tolist() == [-1]
+            expected = [apply_op(twin, op) for op in self.MIXED]
+            for op, answer, want in zip(self.MIXED, answers, expected):
+                if op[0] == "place_batch":
+                    assert [a.tolist() for a in answer] == [w.tolist() for w in want]
+                else:
+                    assert answer == want
+            assert windowed.router.state_dict() == twin.router.state_dict()
+            assert apply_op(windowed, ("snapshot",)) == apply_op(twin, ("snapshot",))
+            assert windowed.summary() == twin.summary()
+            assert windowed.items() == twin.items()
+            windowed.check_invariants()
+
+    def test_a_window_sends_one_envelope_per_busy_shard(self, monkeypatch):
+        from repro.serve import pool as pool_module
+
+        router = make_router("round_robin", 3)
+        with ShardPool(kd_spec(), 3, policy=router, mode="thread") as pool:
+            pool.place_batch(9, items=[f"i{n}" for n in range(9)])  # i{s+3j} on s
+            sent = []
+            submit = pool_module._Shard.submit
+
+            def spied(shard, message):
+                sent.append((shard.index, message))
+                submit(shard, message)
+
+            monkeypatch.setattr(pool_module._Shard, "submit", spied)
+            exchanges = pool.exchanges
+            with pool.window():  # three runs of places
+                pool.remove("i1")
+                pool.place_batch(2, items=["a", "b"])  # shards 0, 1
+                pool.remove("i3")
+                pool.place_batch(2)  # shards 2, 0
+                pool.remove("a")  # a's bin is pending: flushes shard 0 alone
+                assert len(sent) == 1
+                pool.place_batch(1, items=["c"])  # shard 1
+                pool.remove("i2")
+                assert len(sent) == 1
+            assert pool.exchanges == exchanges + 2
+            assert [index for index, _ in sent] == [0, 0, 1, 2]
+            assert sent == [
+                (0, ("flush", [
+                    ("place", 1, ["a"]), ("remove", "i3"), ("place", 1, None),
+                ])),
+                (0, ("flush", [("remove", "a")])),
+                (1, ("flush", [
+                    ("remove", "i1"), ("place", 1, ["b"]), ("place", 1, ["c"]),
+                ])),
+                (2, ("flush", [("place", 1, None), ("remove", "i2")])),
+            ]
+            sent.clear()
+            with pool.window():  # removes alone send nothing
+                pool.remove("i4")
+                pool.remove("i5")
+            assert sent == []
+            pool.check_invariants()
+            assert pool.live_items == 9 + 5 - 6

@@ -7,11 +7,14 @@ import functools
 import gc
 import json
 import logging
+import os
+import signal
 import threading
 
 import pytest
 
 from repro.api import SchemeSpec
+from repro.online import OnlineAllocator
 from repro.serve import (
     AllocationServer,
     BlockingServeClient,
@@ -20,6 +23,7 @@ from repro.serve import (
     ServeConfig,
     ServeError,
     ShardPool,
+    ShardPoolError,
     protocol,
     run_loadgen,
 )
@@ -440,6 +444,134 @@ class TestServeWindows:
         answers, items = run(with_server(body))
         assert items == {"a": answers[1][0]}
         assert not any(isinstance(answer, Exception) for answer in answers)
+
+
+class TestWindowFailures:
+    """A failed exchange anywhere in a window fails every place of that
+    window; removes keep their answers, no item is left with an unknown
+    bin, the divergence is checkable, and the next window is served."""
+
+    def test_a_rejected_queued_remove_fails_the_places_of_its_window(
+        self, monkeypatch
+    ):
+        remove = OnlineAllocator.remove
+
+        def refuse(allocator, item):
+            if item == "x":
+                raise RuntimeError("refused")
+            return remove(allocator, item)
+
+        async def body(server):
+            client = await ServeClient.connect("127.0.0.1", server.port)
+            try:
+                x = await client.place("x")
+                monkeypatch.setattr(OnlineAllocator, "remove", refuse)
+                answers = await fire_in_order(server, [
+                    lambda: client.place("w"),   # a window of its own
+                    lambda: client.place("y"),
+                    lambda: client.remove("x"),  # its shard refuses it
+                    lambda: client.place(),
+                    lambda: client.place_batch(3),
+                ])
+                monkeypatch.undo()
+                pool = server.pool
+                assert all(bin_ >= 0 for _, bin_ in pool._items.values())
+                with pytest.raises(
+                    ShardPoolError,
+                    match=rf"invariants violated: shard {x[0]} holds \d+ "
+                    rf"items, the pool counts \d+",
+                ):
+                    await server._pool_call(pool.check_invariants)
+                after = await client.place("v")  # the next window is served
+            finally:
+                await client.close()
+            return x, answers, after
+
+        x, (w, y, removed, untracked, batch), after = run(with_server(body))
+        assert isinstance(w, tuple)
+        assert removed == x
+        for answer in (y, untracked, batch):
+            assert isinstance(answer, ServeError)
+            assert "queued remove of item 'x' rejected" in str(answer)
+        assert isinstance(after, tuple) and after[1] >= 0
+
+    def test_a_shard_killed_mid_window_fails_the_places_of_its_window(self):
+        async def body(server):
+            pool = server.pool
+            client = await ServeClient.connect("127.0.0.1", server.port)
+            try:
+                first = await client.place("w")  # round robin: shard 0
+                await client.place("u")  # shard 1
+                victim = pool._shards[1].worker
+                remove = pool.remove
+
+                def kill_then_remove(item):
+                    if victim.is_alive():
+                        os.kill(victim.pid, signal.SIGKILL)
+                        victim.join(timeout=10)
+                    return remove(item)
+
+                pool.remove = kill_then_remove  # mid-window, on the pool thread
+                answers = await fire_in_order(server, [
+                    lambda: client.place("a"),  # a window of its own: shard 0
+                    lambda: client.place("b"),  # shard 1
+                    lambda: client.remove("w"),  # kills shard 1
+                    lambda: client.place("c"),  # shard 0
+                ])
+                del pool.remove
+                assert all(bin_ >= 0 for _, bin_ in pool._items.values())
+                with pytest.raises(ShardPoolError, match="shard 1 died"):
+                    await server._pool_call(pool.check_invariants)
+                later = await fire_in_order(server, [
+                    lambda: client.remove("a"),  # answered from the map
+                    lambda: client.place("d"),  # shard 1
+                ])
+                later.append(await client.place("e"))  # shard 0
+            finally:
+                await client.close()
+            return first, answers, later
+
+        first, (a, b, removed, c), (removed_a, d, e) = run(with_server(
+            body, ServeConfig(n_shards=2, mode="process", policy="round_robin")
+        ))
+        assert a[0] == 0 and removed == first
+        for answer in (b, c):
+            assert isinstance(answer, ServeError)
+            assert "shard 1 died" in str(answer)
+        assert removed_a == a
+        assert isinstance(d, ServeError) and "shard 1 died" in str(d)
+        assert e[0] == 0
+
+
+class TestExchangeCounter:
+    def test_stats_and_loadgen_report_pool_exchanges(self):
+        async def body(server):
+            client = await ServeClient.connect("127.0.0.1", server.port)
+            try:
+                before = server.server_stats()["pool_exchanges"]
+                await fire_in_order(server, [
+                    lambda: client.place("x"),   # window 1: one exchange
+                    lambda: client.place("y"),   # window 2: one exchange
+                    lambda: client.remove("x"),
+                    lambda: client.place(),
+                    lambda: client.remove("y"),  # y's bin is pending: +1
+                    lambda: client.place_batch(4),
+                ])
+                # The stats op adds its own summary exchange.
+                stats = await client.stats()
+                assert stats["server"]["pool_exchanges"] == before + 4
+                report = await run_loadgen(
+                    "127.0.0.1", server.port, items=50, connections=2, seed=3,
+                    workload="uniform", workload_params={"churn": 0.5},
+                )
+            finally:
+                await client.close()
+            return report
+
+        report = run(with_server(body))
+        exchanges = report.server["pool_exchanges"]
+        assert exchanges > 0
+        assert f"pool_exchanges={exchanges}" in report.format_text()
 
 
 class TestBlockingClient:
