@@ -10,6 +10,12 @@ the newly covered scheme families (weighted, stale, dynamic churn, the
 adaptive comparators and the topology schemes must each run >= 3x faster
 than their scalar reference), and ``test_streaming_mode_memory_and_throughput`` pins the
 chunked/streaming memory bound that makes n >= 10^7 runs practical.
+
+The scalar references timed here are the hand-written loops of
+``tests/oracles`` (and churn's and single choice's runners), so every
+floor keeps the denominator it was set against; the registry's scalar
+engine, the stepper's ``step()`` loop, is slower for most schemes and
+would loosen the floors.
 """
 
 from __future__ import annotations
@@ -20,19 +26,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.api import get_scheme
-from repro.core.adaptive import run_threshold_adaptive, run_two_phase_adaptive
-from repro.core.baselines import (
+from oracles import (
     run_always_go_left,
+    run_hierarchical_go_left,
+    run_kd_choice,
+    run_locality_two_choice,
     run_one_plus_beta,
-    run_single_choice,
+    run_stale_kd_choice,
+    run_threshold_adaptive,
+    run_two_phase_adaptive,
+    run_weighted_kd_choice,
 )
+from repro.api import get_scheme
+from repro.core.baselines import run_single_choice
 from repro.core.compiled import backend_unavailable_reason
 from repro.core.dynamic import run_churn_kd_choice
-from repro.core.process import run_kd_choice
-from repro.core.stale import run_stale_kd_choice
-from repro.core.weighted import run_weighted_kd_choice
-from repro.topology.schemes import run_hierarchical_go_left, run_locality_two_choice
 
 MICRO_N = 1 << 14
 

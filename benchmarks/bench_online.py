@@ -5,8 +5,9 @@ The acceptance anchor of the online subsystem: at ``n = 10^6`` items
 ``place_batch`` through the batch kernels must sustain at least
 ``BENCH_ONLINE_MIN_SPEEDUP`` (default 3x) the throughput of the scalar
 ``place()`` loop — and both ingestion modes are asserted to produce
-bit-identical loads to the batch ``simulate()`` of the same spec, so the
-speedup is never bought with drift.
+bit-identical loads to the hand-written (k, d)-choice loop of
+``tests/oracles`` at the same seed, so the speedup is never bought with
+drift.
 
 A second check pins streaming-vs-batch parity cheaply for every
 scheme family with an online stepper at a smaller size.
@@ -20,6 +21,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import ORACLES, run_kd_choice
 from repro.api import REGISTRY, SchemeSpec, get_scheme, simulate
 from repro.online import OnlineAllocator
 
@@ -65,9 +67,11 @@ def test_place_batch_speedup_over_scalar_place_loop(benchmark):
     Both ingestion paths stream the full ``ITEMS`` over the same bin count
     (measuring them at different sizes would skew the comparison — gather
     locality degrades with ``n_bins`` for both), and both are asserted equal
-    to the batch engine first, so the two sides time the same computation.
+    to the oracle loop first, so the two sides time the same computation.
     """
-    batch_reference = simulate(_spec(ITEMS, "scalar"))
+    batch_reference = run_kd_choice(
+        n_bins=ITEMS, n_balls=ITEMS, **KD_PARAMS, seed=0
+    )
     scalar_time, scalar_loads = _time_scalar_place_loop(ITEMS)
     assert np.array_equal(scalar_loads, batch_reference.loads)
 
@@ -118,8 +122,13 @@ def test_streaming_matches_batch(scheme, params):
     """Every online scheme's stream equals its batch run (loads + stream)."""
     n_items = params.get("n_balls", params["n_bins"])
     a, b = np.random.default_rng(1), np.random.default_rng(1)
-    batch = simulate(
-        SchemeSpec(scheme=scheme, params=params, rng=a, engine="scalar")
+    # The oracle loop where the scheme has one (its scalar engine is the
+    # stepper being streamed), else the scheme's hand-written runner.
+    oracle = ORACLES.get(scheme)
+    batch = (
+        oracle(**params, rng=a)
+        if oracle is not None
+        else simulate(SchemeSpec(scheme=scheme, params=params, rng=a, engine="scalar"))
     )
     allocator = OnlineAllocator(SchemeSpec(scheme=scheme, params=params, rng=b))
     allocator.place_batch(n_items)

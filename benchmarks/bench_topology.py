@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.api import SchemeSpec, simulate
 from repro.serve import ShardPool
-from repro.topology import Topology, run_locality_two_choice
+from repro.topology import Topology
 
 ITEMS = int(os.environ.get("BENCH_TOPOLOGY_ITEMS", 100_000))
 MIN_RATE_RATIO = float(os.environ.get("BENCH_TOPOLOGY_MIN_RATE_RATIO", 0.5))
@@ -55,8 +55,12 @@ def _assert_flat_parity() -> None:
     n_bins = 4_096
     flat = simulate(SchemeSpec(scheme="two_choice", params={"n_bins": n_bins}, seed=7))
     for bias in (0.0, 0.5, 1.0):
-        local = run_locality_two_choice(
-            n_bins, bias=bias, topology=Topology.flat(n_bins), seed=7
+        local = simulate(
+            SchemeSpec(
+                scheme="locality_two_choice",
+                params={"n_bins": n_bins, "bias": bias, "topology": Topology.flat(n_bins)},
+                seed=7,
+            )
         )
         assert (local.loads == flat.loads).all(), (
             f"flat-topology locality_two_choice (bias={bias}) drifted from "

@@ -16,7 +16,14 @@ selected with ``-m slow``.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The hand-written scalar loops the throughput floors time live with the
+# tests, as the ``oracles`` package.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 @pytest.fixture

@@ -18,9 +18,8 @@ Run with:  python examples/extensions_tour.py
 
 from __future__ import annotations
 
+from repro.api import SchemeSpec, simulate
 from repro.core.dynamic import run_churn_kd_choice
-from repro.core.stale import run_stale_kd_choice
-from repro.core.weighted import run_weighted_kd_choice
 from repro.simulation import ResultTable, horizontal_bar_chart, sparkline
 
 
@@ -29,7 +28,13 @@ def weighted_section(n: int) -> None:
     table = ResultTable(columns=["weights", "(k,d)", "weighted_gap", "max_ball_count"])
     for weights in ("constant", "exponential", "pareto"):
         for k, d in ((1, 2), (8, 16)):
-            result = run_weighted_kd_choice(n, k=k, d=d, weights=weights, seed=3)
+            result = simulate(
+                SchemeSpec(
+                    "weighted_kd_choice",
+                    {"n_bins": n, "k": k, "d": d, "weights": weights},
+                    seed=3,
+                )
+            )
             table.add(
                 {
                     "weights": weights,
@@ -46,7 +51,13 @@ def staleness_section(n: int) -> None:
     print("2. Stale probes — max load vs staleness epoch (k=4, d=8)")
     values = {}
     for stale_rounds in (1, 4, 16, 64, 256):
-        result = run_stale_kd_choice(n, k=4, d=8, stale_rounds=stale_rounds, seed=5)
+        result = simulate(
+            SchemeSpec(
+                "stale_kd_choice",
+                {"n_bins": n, "k": 4, "d": 8, "stale_rounds": stale_rounds},
+                seed=5,
+            )
+        )
         values[f"epoch={stale_rounds:>3} rounds"] = float(result.max_load)
     print(horizontal_bar_chart(values, width=30, value_format="{:.0f}"))
     print()

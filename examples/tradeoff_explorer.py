@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 
-from repro.core.process import run_kd_choice
 from repro.analysis import predicted_max_load
+from repro.api import SchemeSpec, simulate
 from repro.experiments import run_tradeoff, tradeoff_table
 from repro.simulation import ResultTable, SeedTree
 
@@ -35,7 +35,9 @@ def sweep_kd_family(n: int, seed: int) -> ResultTable:
     )
     for ratio in (1.05, 1.1, 1.25, 1.5, 2.0, 3.0, 4.0):
         d = max(k + 1, int(round(ratio * k)))
-        result = run_kd_choice(n, k=k, d=d, seed=tree.integer_seed())
+        result = simulate(
+            SchemeSpec("kd_choice", {"n_bins": n, "k": k, "d": d}, seed=tree.integer_seed())
+        )
         table.add(
             {
                 "k": k,

@@ -22,11 +22,13 @@ True
 
 ``repro.api.available_schemes()`` lists every registered workload, and
 constructing a spec with ``SchemeSpec(..., engine="vectorized")`` selects
-the batch fast path (seed-for-seed identical to the scalar reference).
+the batch fast path (seed-for-seed identical to the scalar engine).
 
 The historical top-level ``run_*`` shims (deprecated since the spec API
-landed) are gone; the undecorated reference implementations remain
-importable from :mod:`repro.core` for the registry and the engines.
+landed) are gone.  Each kernel-backed scheme is defined once, by its
+stepper in :mod:`repro.core.kernels`; its scalar engine steps that stepper
+one unit at a time, so there is no separate reference implementation in
+the package.
 """
 
 import importlib
@@ -38,12 +40,9 @@ from .core import (
     ChurnResult,
     DynamicKDChoiceProcess,
     GreedyPolicy,
-    KDChoiceProcess,
     ProcessParams,
     SerializedKDChoice,
-    StaleKDChoiceProcess,
     StrictPolicy,
-    WeightedKDChoiceProcess,
     get_policy,
     metrics,
 )
@@ -72,14 +71,11 @@ __all__ = [
     "AllocationResult",
     "ProcessParams",
     "BinState",
-    "KDChoiceProcess",
     "SerializedKDChoice",
     "BallPlacement",
     "StrictPolicy",
     "GreedyPolicy",
     "get_policy",
-    "WeightedKDChoiceProcess",
-    "StaleKDChoiceProcess",
     "DynamicKDChoiceProcess",
     "ChurnResult",
     "metrics",

@@ -140,15 +140,19 @@ def empirical_max_load_distribution(
     n_balls: int | None = None,
 ) -> Dict[int, float]:
     """Monte-Carlo estimate of the max-load distribution (for validation)."""
-    from ..core.process import run_kd_choice  # local import to avoid a cycle
+    from ..api import SchemeSpec, simulate  # local import to avoid a cycle
 
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
     rng = np.random.default_rng(seed)
     counts: Counter[int] = Counter()
     for _ in range(trials):
-        result = run_kd_choice(
-            n_bins=n_bins, k=k, d=d, n_balls=n_balls, seed=int(rng.integers(0, 2 ** 31))
+        result = simulate(
+            SchemeSpec(
+                scheme="kd_choice",
+                params={"n_bins": n_bins, "k": k, "d": d, "n_balls": n_balls},
+                seed=int(rng.integers(0, 2 ** 31)),
+            )
         )
         counts[result.max_load] += 1
     return {value: count / trials for value, count in counts.items()}

@@ -3,7 +3,7 @@
 :func:`simulate` is the canonical entry point of the library: it resolves a
 :class:`~repro.api.spec.SchemeSpec` against the scheme registry, validates
 the parameters against the runner's signature, picks an execution engine
-(the scalar reference, or the compiled or vectorized fast path) and returns
+(the scalar engine, or the compiled or vectorized fast path) and returns
 the familiar :class:`~repro.core.types.AllocationResult`.
 
 :func:`simulate_many` fans a batch of specs out over repeated trials with a
@@ -64,8 +64,8 @@ def resolve_engine(spec: SchemeSpec, info: Optional[SchemeInfo] = None) -> str:
     performance decision: the compiled engine wherever its fast path
     applies (scheme coverage, parameters, and a C backend that builds
     here), else the vectorized engine inside its fast-path envelope, else
-    the scalar reference.  ``REPRO_KERNEL=scalar`` pins ``auto`` to the
-    scalar reference.
+    the scalar engine.  ``REPRO_KERNEL=scalar`` pins ``auto`` to the
+    scalar engine.
 
     A forced engine is honoured whenever it can run the spec at all and
     raises :class:`~repro.api.spec.SchemeSpecError` with the guard's reason
@@ -106,8 +106,9 @@ def build_runner_kwargs(
 
     Shared by every execution surface that turns a spec into a runner call:
     the batch engines here, and the streaming allocator
-    (:class:`repro.online.OnlineAllocator`), whose stepper factories mirror
-    the scalar runner signatures.
+    (:class:`repro.online.OnlineAllocator`), whose stepper factories take
+    the same keywords (a kernel's scalar engine has its stepper's
+    signature).
     """
     kwargs: Dict[str, object] = dict(spec.params)
     accepted = set(info.parameters)
@@ -170,10 +171,10 @@ def _execute(spec: SchemeSpec, seed: "int | None") -> AllocationResult:
 def simulate(spec: SchemeSpec) -> AllocationResult:
     """Execute one spec once and return its :class:`AllocationResult`.
 
-    This is the canonical front door of the library.  The scalar reference
-    runners stay importable from :mod:`repro.core`; the batch engines are
-    reached only through the registry (``get_scheme(name).vectorized`` /
-    ``.compiled``).
+    This is the canonical front door of the library.  Every engine is
+    reached through the registry: ``get_scheme(name).runner`` (the scalar
+    engine; for a kernel-table scheme, its stepper's ``step()`` loop),
+    ``.vectorized`` and ``.compiled``.
 
     Examples
     --------

@@ -8,7 +8,9 @@ kernel table:
 * every kernel in :data:`~repro.core.kernels.table.KERNELS` is
   registered with that very record (``info.kernel is KERNELS[name]``); the
   registry reads engines, stepper and guards from the record it holds, so
-  registration is all there is to check;
+  registration is all there is to check — plus, where the record derives
+  a scalar engine, that the registered runner is that engine (so no
+  scheme carries a second scalar definition);
 * every registered scheme is either in ``KERNELS`` or explicitly listed in
   :data:`~repro.core.kernels.table.EXEMPT_SCHEMES` (the bespoke substrate
   simulators, which carry records of their own).
@@ -58,11 +60,17 @@ def _kernel_surface_violations() -> List[str]:
                 f"scheme; register it in api/schemes.py with kernel=KERNELS[{name!r}]"
             )
             continue
-        if REGISTRY.get(name).kernel is not kernel:
+        info = REGISTRY.get(name)
+        if info.kernel is not kernel:
             problems.append(
                 f"scheme {name!r} (api/schemes.py) is not kernel-backed "
                 f"(its record is not KERNELS[{name!r}]); register it with "
                 f"kernel=KERNELS[{name!r}]"
+            )
+        elif "scalar" in kernel.engines and info.runner is not kernel.engines["scalar"]:
+            problems.append(
+                f"scheme {name!r} (api/schemes.py) registers a runner of its "
+                f"own; register KERNELS[{name!r}].engines['scalar'] instead"
             )
 
     for name in sorted(registered):

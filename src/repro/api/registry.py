@@ -9,16 +9,19 @@ around fourteen differently-shaped ``run_*`` functions.
 
 The registry stores, per scheme:
 
-* the scalar runner callable and its introspected keyword signature (used
-  to validate spec params before execution),
+* the runner (the scalar engine) and its introspected keyword signature
+  (used to validate spec params before execution).  For a kernel-table
+  scheme the runner is its kernel's ``engines["scalar"]``, the
+  ``"scalar"`` mode of :func:`~repro.core.kernels.table.drive`, whose
+  signature is the stepper factory's; a few schemes register a
+  hand-written runner (each kernel entry, or the substrate, says why),
 * the scheme's engine record, a :class:`~repro.core.kernels.table.Kernel`
   (``register(..., kernel=KERNELS[name])``): :attr:`SchemeInfo.vectorized`,
   :attr:`~SchemeInfo.compiled` and :attr:`~SchemeInfo.online` read its
   batch engines and stepper factory, and the ``*_reason`` functions read
   its guards.  The record is held, not copied, so the registry cannot drift
   from it.  The batch engines are the ``"vectorized"`` and ``"compiled"``
-  modes of one function, :func:`~repro.core.kernels.table.drive`; a scheme
-  without a record runs on its scalar runner only,
+  modes of ``drive``; a scheme without a record runs on its runner only,
 * a one-line summary (the first docstring line by default) for
   :func:`describe_scheme` / the ``python -m repro schemes`` listing.
 """
@@ -73,7 +76,7 @@ class SchemeInfo:
 
     @property
     def vectorized(self) -> Optional[Runner]:
-        """The vectorized batch engine (scalar-runner keywords), or ``None``."""
+        """The vectorized batch engine (the runner's keywords), or ``None``."""
         return self.kernel.engines.get("vectorized") if self.kernel else None
 
     @property
@@ -197,15 +200,16 @@ class SchemeRegistry:
 
         Usage::
 
-            @register_scheme("kd_choice", aliases=("kd",),
-                             kernel=KERNELS["kd_choice"])
-            def _run(n_bins, k, d, ...):
-                ...
+            kernel = KERNELS["kd_choice"]
+            register_scheme("kd_choice", aliases=("kd",),
+                            kernel=kernel)(kernel.engines["scalar"])
 
         ``kernel`` (a :class:`repro.core.kernels.table.Kernel`) is the
         scheme's one engine record: its vectorized and compiled engines,
         stepper factory and guards are read from it, never copied.  Without
-        one the scheme runs on its scalar runner only.  The name and every
+        one the scheme runs on its runner only.  The parameters come from
+        ``inspect.signature(runner)``; a kernel's derived scalar engine
+        carries its stepper factory's signature.  The name and every
         alias are checked before anything is inserted, so a rejected
         registration leaves the registry unchanged.
         """
@@ -362,7 +366,7 @@ def vectorized_unsupported_reason(
     both the construction-time validation in
     :class:`~repro.api.spec.SchemeSpec` and the run-time resolution in
     :func:`~repro.api.engine.resolve_engine` (so ``engine="auto"`` falls
-    back to the scalar reference exactly when a forced ``"vectorized"``
+    back to the scalar engine exactly when a forced ``"vectorized"``
     would have been rejected).
     """
     if info.vectorized is None:
@@ -470,9 +474,10 @@ def online_unsupported_reason(
     The single source of truth for online/scheme compatibility, mirroring
     :func:`vectorized_unsupported_reason`: it backs both the construction-time
     validation in :class:`~repro.online.allocator.OnlineAllocator` and the
-    registry dichotomy tests.  Online steppers mirror the *scalar* reference
-    engines, so any policy the scalar runner accepts is accepted here; the
-    scheme either provides a stepper factory or names why it cannot stream.
+    registry dichotomy tests.  A kernel's scalar engine is its stepper's
+    ``step()`` loop, so any policy the scalar engine accepts is accepted
+    here; the scheme either provides a stepper factory or names why it
+    cannot stream.
     """
     if info.online is None:
         return (

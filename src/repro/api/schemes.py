@@ -12,92 +12,70 @@ Importing this module (which :mod:`repro.api` does eagerly) populates the
 
 Every runner takes keyword parameters plus ``seed``/``rng`` and returns an
 ``AllocationResult``, so one :class:`~repro.api.spec.SchemeSpec` shape
-describes all of them.
+describes all of them.  A kernel-table scheme's runner is its kernel's
+scalar engine (``KERNELS[name].engines["scalar"]``), whose parameters are
+its stepper factory's.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
-from ..core.adaptive import run_threshold_adaptive, run_two_phase_adaptive
-from ..core.baselines import (
-    run_always_go_left,
-    run_batch_random,
-    run_d_choice,
-    run_one_plus_beta,
-    run_single_choice,
-)
 from ..core.dynamic import allocation_from_churn, run_churn_kd_choice
 from ..core.kernels import KERNELS, Kernel
-from ..core.process import run_kd_choice
-from ..core.serialization import run_serialized_kd_choice
-from ..core.stale import run_stale_kd_choice
 from ..core.types import AllocationResult
-from ..core.weighted import run_weighted_kd_choice
-from ..topology.schemes import run_hierarchical_go_left, run_locality_two_choice
 from .registry import register_scheme
 
 __all__: list = []
+
+
+def _register_kernel(name: str, **options: Any) -> None:
+    """Register a kernel-table scheme: its runner is its scalar engine."""
+    kernel = KERNELS[name]
+    register_scheme(name, kernel=kernel, **options)(kernel.engines["scalar"])
 
 
 # ----------------------------------------------------------------------
 # The paper's process family
 # ----------------------------------------------------------------------
 # Every ball-stream scheme passes kernel=KERNELS[name]: the registry holds
-# that record of repro.core.kernels.table and reads its vectorized engine,
-# online stepper and engine guards from it.  Only the substrate simulators
-# at the bottom of this module declare their own stepperless records, next
-# to their runners (core/ does not import the substrates).
-register_scheme(
+# that record of repro.core.kernels.table and reads its engines, online
+# stepper and engine guards from it.  Only churn registers a runner of its
+# own (it has no stepper); the substrate simulators at the bottom of this
+# module declare their own stepperless records, next to their runners
+# (core/ does not import the substrates).
+_register_kernel(
     "kd_choice",
     summary="The paper's (k, d)-choice process (k balls per round, d probes).",
     aliases=("kd",),
     tags=("paper", "process"),
-    kernel=KERNELS["kd_choice"],
-)(run_kd_choice)
+)
 
-register_scheme(
+_register_kernel(
     "serialized_kd_choice",
     summary="Ball-at-a-time serialization A_sigma of (k, d)-choice (Definition 1).",
     tags=("paper", "process"),
-    kernel=KERNELS["serialized_kd_choice"],
-)(run_serialized_kd_choice)
+)
 
-register_scheme(
+_register_kernel(
     "weighted_kd_choice",
     summary="(k, d)-choice with weighted balls (constant/exponential/Pareto).",
     tags=("extension", "process"),
-    kernel=KERNELS["weighted_kd_choice"],
-)(run_weighted_kd_choice)
+)
 
-register_scheme(
+_register_kernel(
     "stale_kd_choice",
     summary="(k, d)-choice probing stale load snapshots (parallel epochs).",
     tags=("extension", "process"),
-    kernel=KERNELS["stale_kd_choice"],
-)(run_stale_kd_choice)
+)
 
-
-@register_scheme(
+_register_kernel(
     "greedy_kd_choice",
     summary="(k, d)-choice with the Section 7 greedy (uncapped) policy.",
     tags=("extension", "process"),
-    kernel=KERNELS["greedy_kd_choice"],
 )
-def _run_greedy_kd_choice(
-    n_bins: int,
-    k: int,
-    d: int,
-    n_balls: Optional[int] = None,
-    seed: "int | np.random.SeedSequence | None" = None,
-    rng: Optional[np.random.Generator] = None,
-) -> AllocationResult:
-    """(k, d)-choice under the greedy water-filling relaxation."""
-    return run_kd_choice(
-        n_bins=n_bins, k=k, d=d, n_balls=n_balls, policy="greedy", seed=seed, rng=rng
-    )
 
 
 @register_scheme(
@@ -137,100 +115,76 @@ def _run_churn_kd_choice(
 # ----------------------------------------------------------------------
 # Classic baselines and adaptive comparators
 # ----------------------------------------------------------------------
-# Single choice (and its batched twin) is one bincount in the scalar path
-# already: the scalar runner doubles as its own vectorized engine, so
-# engine="vectorized" is accepted and trivially scalar-identical.
-register_scheme(
+# Single choice (and its batched twin) is one bincount: the kernel's scalar
+# runner doubles as its own vectorized engine, so engine="vectorized" is
+# accepted and trivially scalar-identical.
+_register_kernel(
     "single_choice",
     summary="Classic single-choice: every ball to one uniform bin.",
     aliases=("one_choice",),
     tags=("baseline",),
-    kernel=KERNELS["single_choice"],
-)(run_single_choice)
+)
 
-register_scheme(
+_register_kernel(
     "d_choice",
     summary="Azar et al.'s Greedy[d]: d probes, join the least loaded.",
     aliases=("greedy_d",),
     tags=("baseline",),
-    kernel=KERNELS["d_choice"],
-)(run_d_choice)
+)
 
-
-@register_scheme(
+_register_kernel(
     "two_choice",
     summary="Greedy[2], the classic two-choice process.",
     tags=("baseline",),
-    kernel=KERNELS["two_choice"],
 )
-def _run_two_choice(
-    n_bins: int,
-    n_balls: Optional[int] = None,
-    seed: "int | np.random.SeedSequence | None" = None,
-    rng: Optional[np.random.Generator] = None,
-    capacities: Optional[np.ndarray] = None,
-) -> AllocationResult:
-    """Two-choice (Greedy[2]) via the d-choice baseline."""
-    return run_d_choice(
-        n_bins=n_bins, d=2, n_balls=n_balls, seed=seed, rng=rng,
-        capacities=capacities,
-    )
 
-
-register_scheme(
+_register_kernel(
     "one_plus_beta",
     summary="Peres-Talwar-Wieder (1+beta)-choice mixture process.",
     tags=("baseline",),
-    kernel=KERNELS["one_plus_beta"],
-)(run_one_plus_beta)
+)
 
-register_scheme(
+_register_kernel(
     "always_go_left",
     summary="Voecking's asymmetric Always-Go-Left d-choice scheme.",
     tags=("baseline",),
-    kernel=KERNELS["always_go_left"],
-)(run_always_go_left)
+)
 
-register_scheme(
+_register_kernel(
     "batch_random",
     summary="SA(k, k): k balls per round, each to a uniform bin.",
     tags=("baseline",),
-    kernel=KERNELS["batch_random"],
-)(run_batch_random)
+)
 
-register_scheme(
+_register_kernel(
     "threshold_adaptive",
     summary="Czumaj-Stemann adaptive threshold probing.",
     tags=("adaptive",),
-    kernel=KERNELS["threshold_adaptive"],
-)(run_threshold_adaptive)
+)
 
-register_scheme(
+_register_kernel(
     "two_phase_adaptive",
     summary="Simplified Lenzen-Wattenhofer two-phase adaptive scheme.",
     tags=("adaptive",),
-    kernel=KERNELS["two_phase_adaptive"],
-)(run_two_phase_adaptive)
+)
 
 
 # ----------------------------------------------------------------------
 # Topology-aware variants (rack/zone hierarchies, repro.topology)
 # ----------------------------------------------------------------------
-register_scheme(
+_register_kernel(
     "hierarchical_always_go_left",
     summary="Always-Go-Left over a topology's racks (go-left per level).",
     aliases=("hgl",),
     tags=("extension", "topology"),
-    kernel=KERNELS["hierarchical_always_go_left"],
-)(run_hierarchical_go_left)
+)
 
-register_scheme(
+_register_kernel(
     "locality_two_choice",
     summary="Greedy[d] with zone-biased probes and threshold cross-zone spill.",
     aliases=("l2c",),
     tags=("extension", "topology"),
-    kernel=KERNELS["locality_two_choice"],
-)(run_locality_two_choice)
+)
 
 
 # ----------------------------------------------------------------------

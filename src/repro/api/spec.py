@@ -28,8 +28,9 @@ import numpy as np
 __all__ = ["ENGINES", "SchemeSpecError", "SchemeSpec"]
 
 #: Recognized execution engines.  "auto" lets the engine pick the fastest
-#: implementation that is exactly equivalent to the scalar reference;
-#: "scalar" forces the reference implementation; "vectorized" forces the
+#: implementation that is exactly equivalent to the scalar engine;
+#: "scalar" forces the per-unit engine (a kernel stepper's ``step()`` loop,
+#: or a scheme's hand-written runner); "vectorized" forces the
 #: batch engine (and errors on schemes that do not provide one);
 #: "compiled" forces the C-backend engine (and errors on schemes without
 #: one, or when the backend cannot build in this environment).

@@ -101,7 +101,8 @@ class DynamicKDChoiceProcess:
     Parameters
     ----------
     n_bins, k, d, policy, seed, rng:
-        As for :class:`~repro.core.process.KDChoiceProcess`.
+        As for the ``kd_choice`` scheme: bins, balls and probes per round
+        (``1 <= k <= d <= n_bins``), the policy and the randomness source.
     departures_per_round:
         Number of uniformly random ball removals performed after each arrival
         round.  ``departures_per_round = k`` keeps the population stable once

@@ -1,7 +1,6 @@
 """Adaptive comparator kernels: threshold probing and two-phase allocation.
 
-Draw blocks (identical to the scalar runners in
-:mod:`repro.core.adaptive`): per ``min(remaining, 8192)`` balls, threshold
+Draw blocks: per ``min(remaining, 8192)`` balls, threshold
 probing draws one ``(batch, max_probes)`` probe block; two-phase draws the
 primary-probe block then the ``(batch, retry_probes)`` fallback block.
 
@@ -40,8 +39,8 @@ __all__ = ["ThresholdAdaptiveStepper", "TwoPhaseAdaptiveStepper"]
 class ThresholdAdaptiveStepper(OnlineStepper):
     """Streaming threshold probing, unit = one ball.
 
-    Mirrors the scalar runner including its per-ball threshold evaluation,
-    so callable thresholds stream too (and reach the batch engine through
+    The threshold is evaluated per ball in ``step()``, so callable
+    thresholds stream too (and reach the batch engine through
     the per-unit drive path).  ``step_block`` serves the default
     average-based rule and fixed integer thresholds — their limits are a
     pure function of the ball index, so a whole sub-batch shares one limit

@@ -1,9 +1,14 @@
 """Per-ball mixture kernels: (1 + β)-choice and Always-Go-Left.
 
-Draw blocks (identical to the scalar runners in
-:mod:`repro.core.baselines`): per ``min(remaining, 8192)`` balls,
-(1 + β)-choice draws one coin block then two probe blocks; Always-Go-Left
-draws one ``(batch, d)`` uniform block scaled into the ``d`` group ranges.
+(1 + β)-choice (Peres, Talwar & Wieder, SODA 2010): each ball flips a
+β-coin and either probes two bins and joins the lesser loaded, or joins
+one uniform bin.  Always-Go-Left (Vöcking): the bins form ``d`` contiguous
+groups of (almost) equal size; each ball probes one uniform bin per group
+and joins a least loaded probed bin, ties towards the leftmost group.
+
+Draw blocks: per ``min(remaining, 8192)`` balls, (1 + β)-choice draws one
+coin block then two probe blocks; Always-Go-Left draws one ``(batch, d)``
+uniform block scaled into the ``d`` group ranges.
 
 Per-unit apply: one ball.  Batched apply: speculate-verify sub-batches over
 :func:`~repro.core.batched.prefix_conflicts`.
@@ -26,8 +31,7 @@ __all__ = ["OnePlusBetaStepper", "AlwaysGoLeftStepper"]
 class OnePlusBetaStepper(OnlineStepper):
     """Streaming (1 + β)-choice, unit = one ball.
 
-    Blocks mirror the scalar runner: per ``min(remaining, 8192)`` balls, one
-    coin block (β-thresholded doubles), then the two probe blocks.
+    Per ``min(remaining, 8192)`` balls, one coin block (β-thresholded doubles), then the two probe blocks.
     """
 
     _STATE_SCALARS = ("messages", "balls_emitted", "_pos", "_balls_drawn")
@@ -163,7 +167,7 @@ class AlwaysGoLeftStepper(OnlineStepper):
     """Streaming Always-Go-Left, unit = one ball.
 
     One ``(batch, d)`` uniform block per ``min(remaining, 8192)`` balls,
-    scaled into the ``d`` group ranges exactly like the scalar runner.
+    scaled into the ``d`` group ranges.
     """
 
     _STATE_SCALARS = ("messages", "balls_emitted", "_pos", "_balls_drawn")

@@ -10,19 +10,21 @@ on:
   (round, ball or epoch-portion) at a time.  Its contract:
 
   **RNG-block fidelity.**  Randomness is drawn in exactly the blocks
-  (shape and order) the scalar reference engine draws, buffered, and
-  consumed incrementally.  After a stepper has emitted its full planned
-  stream, its loads, message/round accounting *and generator state* are
-  bit-for-bit what the batch runner produces for the same seed — the
-  property the equivalence suite in ``tests/online`` locks down.  This is
-  why every stepper needs the planned stream length up front (``n_balls``,
-  defaulting like the runners to ``n_bins``): the reference engines size
-  their final chunk by the number of rounds remaining, so an open-ended
-  stream could not reproduce their stream.
+  (shape and order) the kernel's ``draw_blocks`` spec names, buffered, and
+  consumed incrementally, whether units are placed by ``step()`` or by
+  ``step_block``.  After a stepper has emitted its full planned stream, its
+  loads, message/round accounting *and generator state* are bit-for-bit
+  what every engine of the scheme produces for the same seed — the
+  property the equivalence suites in ``tests/core`` and ``tests/online``
+  lock down against the oracle loops of ``tests/oracles``.  This is why
+  every stepper needs the planned stream length up front (``n_balls``,
+  defaulting to ``n_bins``): the final chunk is sized by the number of
+  rounds remaining, so an open-ended stream could not reproduce it.
 
   **Units.**  ``step()`` executes the next atomic unit and returns its
-  destination bins in ball order (the exact order the scalar kernel
-  assigns them).  ``step_block(max_balls)`` optionally executes many whole
+  destination bins in ball order; it is the scheme's definition, and
+  :func:`~repro.core.kernels.table.drive`'s ``"scalar"`` mode is a loop
+  of it.  ``step_block(max_balls)`` optionally executes many whole
   units at once through the vectorized kernels of
   :mod:`repro.core.batched` — bit-identical to repeated ``step()`` calls,
   only faster — returning a flat destination array, or ``None`` when no
@@ -39,9 +41,10 @@ on:
   policy tag, ``(k, d)`` and the ``extra`` entries.
 
 * :func:`run_to_completion` — drives a stepper to the end of its planned
-  stream.  :func:`~repro.core.kernels.table.drive` builds every batch
-  engine from it; because the stepper consumes the same RNG blocks as the
-  scalar reference, the derived engine is seed-for-seed identical to it.
+  stream, block by block.  :func:`~repro.core.kernels.table.drive` builds
+  every batch engine from it; because ``step_block`` consumes the same RNG
+  blocks as ``step()``, the derived engine is seed-for-seed identical to
+  the scalar one.
 
 * :func:`speculate_balls`, the speculate-and-truncate loop of the one-ball
   batched applies (locality, hierarchical, threshold), and the window
@@ -89,6 +92,12 @@ def _require_strict(policy: "str | object") -> None:
             f"got {policy_name!r}; use the scalar engine instead"
         )
 
+
+#: Rounds whose samples one RNG block draws, for the round kernels that
+#: draw ``(chunk, d)`` sample blocks (kd, weighted, stale's compiled epochs,
+#: locality).  It bounds the sample-buffer memory; a full Table-1 run with
+#: k = 1, d = 193 would otherwise materialize ~200k x 193 integers at once.
+_DEFAULT_CHUNK_ROUNDS = 4096
 
 #: Smallest speculation window (tiny or crowded tables still key a few rows
 #: per step; the truncation keeps them exact).
@@ -398,9 +407,9 @@ def run_to_completion(
 ) -> OnlineStepper:
     """Drive a stepper to the end of its planned stream (in drive mode).
 
-    The stepper consumes the same RNG blocks as the scalar reference, so
-    driving it to exhaustion yields loads, message/round counts and a final
-    generator state that are bit-for-bit identical.  ``_capture`` is
+    ``step_block`` consumes the same RNG blocks as ``step()``, so driving
+    the stepper to exhaustion yields loads, message/round counts and a
+    final generator state bit-for-bit identical to the scalar engine's.  ``_capture`` is
     cleared for the duration so block kernels can skip per-ball destination
     ordering nobody will read.
 

@@ -1,7 +1,6 @@
 """The (k, d)-choice kernel: the paper's process, plus Greedy[d]/two-choice.
 
-Draw blocks (identical to :class:`~repro.core.process.KDChoiceProcess`):
-``(min(rounds remaining, chunk_rounds), d)`` integer sample blocks, then the
+Draw blocks: ``(min(rounds remaining, chunk_rounds), d)`` integer sample blocks, then the
 policy's per-round tie-break doubles (``d`` per round, strict policy with
 ``k < d`` only).  The partial tail round draws its own ``size=d`` sample and
 tie-break blocks.
@@ -25,9 +24,14 @@ import numpy as np
 from ..baselines import _make_rng
 from ..batched import ConflictScratch, conflict_free_prefix, strict_select_rows
 from ..policies import capacity_select, get_policy
-from ..process import _DEFAULT_CHUNK_ROUNDS
 from ..types import ProcessParams
-from .base import _PLACED, OnlineStepper, normalize_capacities, speculation_window
+from .base import (
+    _DEFAULT_CHUNK_ROUNDS,
+    _PLACED,
+    OnlineStepper,
+    normalize_capacities,
+    speculation_window,
+)
 
 __all__ = ["KDChoiceStepper", "DChoiceStepper", "speculation_window"]
 
@@ -80,8 +84,7 @@ def _select_rounds(
 class KDChoiceStepper(OnlineStepper):
     """Streaming (k, d)-choice, unit = one round of ``k`` balls.
 
-    Mirrors :class:`~repro.core.process.KDChoiceProcess` draw for draw:
-    round samples come from ``(chunk, d)`` integer blocks of
+    The paper's process, one round per ``step()``: round samples come from ``(chunk, d)`` integer blocks of
     ``min(rounds remaining, chunk_rounds)`` rounds, and the policy draws its
     tie-breaks round by round from the shared generator.  ``step_block``
     rides the batch kernel (strict policy, full rounds only) and is

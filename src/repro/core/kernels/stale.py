@@ -1,8 +1,15 @@
 """The stale-information (k, d)-choice kernel (parallel epochs).
 
-Draw blocks (identical to :func:`~repro.core.stale.run_stale_kd_choice`):
-per epoch, one ``(epoch_rounds, d)`` sample block, then — for the strict
-policy with ``k < d`` — the matching ``(epoch_rounds, d)`` tie-break block.
+The paper's rounds are sequential and every probe sees fresh loads.  Fully
+parallel balanced allocations (Adler et al.; Berenbrink et al., RANDOM
+2012) must cope with *stale* load information: here rounds are grouped
+into epochs of ``stale_rounds`` rounds, every probe of an epoch sees the
+loads as of the epoch start, and the epoch's placements apply at its end.
+``stale_rounds = 1`` is the paper's process.
+
+Draw blocks: per epoch, one ``(epoch_rounds, d)`` sample block, then — for
+the strict policy with ``k < d`` — the matching ``(epoch_rounds, d)``
+tie-break block; other policies draw their tie-breaks round by round.
 A partial final round in a ``k == d`` epoch draws its own ``size=d``
 tie-break block when it is selected.
 
@@ -34,9 +41,8 @@ import numpy as np
 from ..baselines import _make_rng
 from ..batched import strict_select_rows
 from ..policies import get_policy, strict_select
-from ..process import _DEFAULT_CHUNK_ROUNDS
 from ..types import ProcessParams
-from .base import _PLACED, OnlineStepper
+from .base import _DEFAULT_CHUNK_ROUNDS, _PLACED, OnlineStepper
 
 __all__ = ["StaleKDChoiceStepper"]
 
@@ -45,8 +51,8 @@ class StaleKDChoiceStepper(OnlineStepper):
     """Streaming stale (k, d)-choice, unit = one round of an epoch.
 
     Probes of an epoch see the loads as of the epoch start; placements apply
-    when the epoch's last round has been emitted — exactly the scalar
-    process, so committed ``loads`` lag the emitted stream by design.
+    when the epoch's last round has been emitted, so committed ``loads``
+    lag the emitted stream by design.
     """
 
     _STATE_SCALARS = OnlineStepper._STATE_SCALARS + ("_epoch_pos",)
@@ -87,6 +93,10 @@ class StaleKDChoiceStepper(OnlineStepper):
         self._snapshot: Optional[np.ndarray] = None
         self._epoch_pos = 0
         self._epoch_pending: List[int] = []
+
+    @property
+    def result_policy(self) -> str:
+        return self.policy.name
 
     def _result_label(self) -> str:
         return f"stale-({self.k},{self.d})-choice[epoch={self.stale_rounds} rounds]"

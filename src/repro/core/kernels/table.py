@@ -3,23 +3,29 @@
 Every allocation scheme registers a :class:`Kernel` here — its draw-block
 spec (the exact RNG blocks the scheme consumes, in order), its per-unit
 apply (an :class:`~repro.core.kernels.base.OnlineStepper` factory, whose
-``step_block`` is the batched apply; each kernel module's docstring names
-it) and its guards.  The engine surfaces are *derived* from that single
-registration:
+``step()`` is the scheme's one definition and whose ``step_block`` is the
+batched apply; each kernel module's docstring names it) and its guards.
+The engine surfaces are *derived* from that single registration:
 
 * the **online** surface is the stepper factory itself;
-* the **vectorized** and **compiled** surfaces are the ``"vectorized"``
-  and ``"compiled"`` modes of :func:`drive`: build the stepper, run it to
-  the end of its planned stream, report ``stepper.result()``.  Because the
-  stepper consumes the scalar reference's RNG blocks, the result is
-  seed-for-seed identical to it (``tests/core/test_engine_equivalence.py``
-  and ``tests/online`` lock this down).
+* the **scalar**, **vectorized** and **compiled** surfaces are the modes of
+  :func:`drive`: build the stepper, run it to the end of its planned
+  stream, report ``stepper.result()``.  The scalar mode only calls
+  ``step()``; the batch modes let ``step_block`` place whole blocks, which
+  is bit-identical to the same ``step()`` calls, so every engine is
+  seed-for-seed identical to every other (the equivalence suites in
+  ``tests/core`` and ``tests/online`` check each against the hand-written
+  oracle loops in ``tests/oracles``).
+
+A few schemes keep a hand-written scalar runner (``Kernel.scalar``); each
+entry says why.
 
 :attr:`Kernel.engines` holds the derived callables.  The registry
-(:mod:`repro.api.schemes`) passes ``kernel=KERNELS[name]`` to ``register``
-and holds that record: ``SchemeInfo.vectorized``, ``.compiled`` and
-``.online`` read it, so there is no copy to drift.  ``repro schemes
---check`` verifies that every kernel here is registered with its record.
+(:mod:`repro.api.schemes`) registers ``engines["scalar"]`` as the scheme's
+runner, passes ``kernel=KERNELS[name]`` and holds that record:
+``SchemeInfo.vectorized``, ``.compiled`` and ``.online`` read it, so there
+is no copy to drift.  ``repro schemes --check`` verifies that every kernel
+here is registered with its record.
 
 The guards' two capability levels, which keep auto-selection honest, are
 described on :class:`Kernel`.
@@ -28,10 +34,12 @@ described on :class:`Kernel`.
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..baselines import run_batch_random, run_single_choice
+from ..serialization import run_serialized_kd_choice
 from ..types import AllocationResult
 from .adaptive import ThresholdAdaptiveStepper, TwoPhaseAdaptiveStepper
 from .balls import AlwaysGoLeftStepper, OnePlusBetaStepper
@@ -67,26 +75,61 @@ GREEDY_FASTPATH_REASON = (
 
 
 # ----------------------------------------------------------------------
-# Every derived batch engine is drive(kernel, engine, ...)
+# Every derived engine is drive(kernel, engine, ...)
 # ----------------------------------------------------------------------
 def drive(kernel: "Kernel", engine: str, **kwargs: Any) -> AllocationResult:
     """Run ``kernel``'s stepper to the end of its planned stream.
 
-    ``kwargs`` are the scheme's scalar-runner keyword arguments (the
-    steppers accept the same ones).  ``engine`` (``"vectorized"`` or
-    ``"compiled"``) selects the block apply and tags the result.  Both
-    consume the scalar reference's RNG blocks, so loads, messages, rounds
-    and the final generator state match it seed for seed.  Only the
-    strict policy runs here; other policies raise ``ValueError``.
+    ``kwargs`` are the stepper factory's keyword arguments.  ``engine``
+    tags the result and selects how units are placed: ``"scalar"`` calls
+    ``step()`` one unit at a time and accepts every policy the stepper
+    accepts; ``"vectorized"`` and ``"compiled"`` let ``step_block`` place
+    whole blocks, which draws the same RNG blocks, so loads, messages,
+    rounds and the final generator state match the scalar engine seed for
+    seed.  The batch modes run the strict policy only; other policies
+    raise ``ValueError``.
     """
-    _require_strict(kwargs.get("policy", "strict"))
-    stepper = run_to_completion(kernel.stepper(**kwargs), engine)
+    if engine == "scalar":
+        stepper = kernel.stepper(**kwargs)
+        while not stepper.exhausted:
+            stepper.step()
+    else:
+        _require_strict(kwargs.get("policy", "strict"))
+        stepper = run_to_completion(kernel.stepper(**kwargs), engine)
     return stepper.result(engine)
 
 
 # ----------------------------------------------------------------------
-# Stepper factory that renames a parameter of a shared kernel
+# Stepper factories that fix or rename a parameter of a shared kernel
 # ----------------------------------------------------------------------
+def greedy_kd_choice_stepper(
+    n_bins: int,
+    k: int,
+    d: int,
+    n_balls: Optional[int] = None,
+    seed: "int | Any" = None,
+    rng: Optional[Any] = None,
+) -> KDChoiceStepper:
+    """Stream (k, d)-choice under the greedy water-filling relaxation."""
+    return KDChoiceStepper(
+        n_bins=n_bins, k=k, d=d, n_balls=n_balls, policy="greedy", seed=seed, rng=rng
+    )
+
+
+def two_choice_stepper(
+    n_bins: int,
+    n_balls: Optional[int] = None,
+    seed: "int | Any" = None,
+    rng: Optional[Any] = None,
+    capacities: Optional[Any] = None,
+) -> DChoiceStepper:
+    """Stream Greedy[2]."""
+    return DChoiceStepper(
+        n_bins=n_bins, d=2, n_balls=n_balls, seed=seed, rng=rng,
+        capacities=capacities,
+    )
+
+
 def batch_random_stepper(
     n_bins: int,
     k: int,
@@ -125,13 +168,18 @@ class Kernel:
     every engine surface from it; nothing is copied.
 
     ``draw_blocks`` documents the exact RNG blocks the kernel consumes per
-    unit/chunk/epoch — the contract that makes the scalar reference, the
-    stepper and the derived batch engine bit-identical.
+    unit/chunk/epoch — the contract that makes the stepper's ``step()`` and
+    its batched apply bit-identical.
 
-    ``stepper`` is the per-unit apply and the streaming allocator's factory
-    (``SchemeInfo.online``); it mirrors the scalar runner's keyword
-    signature but returns an :class:`OnlineStepper` instead of a finished
-    ``AllocationResult``.  ``None`` means the scheme does not stream.
+    ``stepper`` is the scheme's definition: its ``step()`` places one unit,
+    and the factory is the streaming allocator's (``SchemeInfo.online``).
+    Its keyword signature is the scheme's parameter list (the registry
+    introspects it).  ``None`` means the scheme does not stream.
+
+    ``scalar`` is a hand-written scalar runner used instead of
+    :func:`drive`'s ``"scalar"`` mode; each entry that sets one says why.
+    Left ``None``, the scalar engine of a scheme with a stepper is
+    ``drive``'s ``"scalar"`` mode.
 
     ``vectorized`` is a batch engine used instead of :func:`drive`: churn's
     stepperless batch core, a substrate's fast event core, or a scalar
@@ -146,7 +194,7 @@ class Kernel:
       simulator implements), so forcing ``engine="vectorized"`` raises;
     * ``fastpath_guard`` (soft): the batch engine runs them but brings no
       speedup (it drives the per-unit kernel), so ``engine="auto"`` stays
-      on the scalar reference; forcing ``engine="vectorized"`` is honoured.
+      on the scalar engine; forcing ``engine="vectorized"`` is honoured.
 
     ``compiled`` marks schemes whose stepper has C block kernels; their
     compiled engine is ``drive``'s ``"compiled"`` mode, and
@@ -164,6 +212,7 @@ class Kernel:
     unit: str
     draw_blocks: Tuple[str, ...]
     stepper: Optional[Callable[..., OnlineStepper]]
+    scalar: Optional[Callable[..., AllocationResult]] = None
     vectorized: Optional[Callable[..., AllocationResult]] = None
     vectorized_guard: Optional[Callable[[Mapping[str, Any]], Optional[str]]] = None
     fastpath_guard: Optional[Callable[[Mapping[str, Any]], Optional[str]]] = None
@@ -174,12 +223,22 @@ class Kernel:
 
     @functools.cached_property
     def engines(self) -> Dict[str, Callable[..., AllocationResult]]:
-        """The batch engines by registry name (``"vectorized"``, ``"compiled"``).
+        """The engines by registry name (``"scalar"``, ``"vectorized"``,
+        ``"compiled"``).
 
         Computed once, so the registry and the parity lint see the same
-        callable objects.
+        callable objects.  A derived scalar engine carries the stepper
+        factory's signature, which is what the registry introspects.
         """
         engines: Dict[str, Callable[..., AllocationResult]] = {}
+        if self.scalar is not None:
+            engines["scalar"] = self.scalar
+        elif self.stepper is not None:
+            scalar = functools.partial(drive, self, "scalar")
+            scalar.__signature__ = inspect.signature(self.stepper).replace(
+                return_annotation=AllocationResult
+            )
+            engines["scalar"] = scalar
         if self.vectorized is not None:
             engines["vectorized"] = self.vectorized
         elif self.stepper is not None:
@@ -226,6 +285,10 @@ KERNELS: Dict[str, Kernel] = {
             "sigma draws [random sigma: permutation(k)]",
         ),
         stepper=SerializedKDChoiceStepper,
+        # The runner's result carries the per-ball extra["placements"]
+        # record, and SerializedKDChoice (loads_at_time, height_of_ball)
+        # serves the analysis; the stepper keeps neither.
+        scalar=run_serialized_kd_choice,
         fastpath_guard=_serialized_fastpath_guard,
     ),
     "weighted_kd_choice": Kernel(
@@ -258,7 +321,7 @@ KERNELS: Dict[str, Kernel] = {
             "greedy heap ties per round",
             "tail: samples int(d) + policy draws",
         ),
-        stepper=functools.partial(KDChoiceStepper, policy="greedy"),
+        stepper=greedy_kd_choice_stepper,
         fastpath_guard=_greedy_fastpath_guard,
     ),
     "churn_kd_choice": Kernel(
@@ -269,7 +332,10 @@ KERNELS: Dict[str, Kernel] = {
             "per round: samples int(d), ties float(d) [k < d], "
             "one int per departure",
         ),
-        stepper=None,  # departures are global events, not a per-item stream
+        # Departures are global events, not a per-item stream, so there is
+        # no stepper; the scheme's hand-written runner (registered in
+        # repro.api.schemes) is its scalar engine.
+        stepper=None,
         vectorized=run_churn_allocation_vectorized,
     ),
     "single_choice": Kernel(
@@ -277,7 +343,9 @@ KERNELS: Dict[str, Kernel] = {
         unit="ball",
         draw_blocks=("destinations int(n_balls) up front",),
         stepper=SingleChoiceStepper,
-        vectorized=run_single_choice,  # the scalar runner is already batched
+        # One bincount: the runner is already its own vectorized engine.
+        scalar=run_single_choice,
+        vectorized=run_single_choice,
     ),
     "d_choice": Kernel(
         name="d_choice",
@@ -290,7 +358,7 @@ KERNELS: Dict[str, Kernel] = {
         name="two_choice",
         unit="ball (a 1-ball round)",
         draw_blocks=("the kd_choice blocks with k = 1, d = 2",),
-        stepper=functools.partial(DChoiceStepper, d=2),
+        stepper=two_choice_stepper,
         compiled=True,
     ),
     "one_plus_beta": Kernel(
@@ -315,7 +383,9 @@ KERNELS: Dict[str, Kernel] = {
         unit="ball (rounds of k for accounting)",
         draw_blocks=("destinations int(n_balls) up front",),
         stepper=batch_random_stepper,
-        vectorized=run_batch_random,  # the scalar runner is already batched
+        # One bincount: the runner is already its own vectorized engine.
+        scalar=run_batch_random,
+        vectorized=run_batch_random,
     ),
     "threshold_adaptive": Kernel(
         name="threshold_adaptive",

@@ -1,7 +1,6 @@
 """Topology-aware kernels: hierarchical go-left and locality two-choice.
 
-Draw blocks (identical to the scalar runners in
-:mod:`repro.topology.schemes`): hierarchical go-left draws one
+Draw blocks: hierarchical go-left draws one
 ``(batch, n_racks)`` uniform block per ``min(remaining, 8192)`` balls,
 scaled into the rack ranges; locality two-choice draws
 ``(min(rounds remaining, chunk_rounds), d)`` integer blocks plus one
@@ -31,8 +30,13 @@ from ...topology.schemes import local_probe_slots, locality_select
 from ..baselines import _CHUNK as _BALL_CHUNK
 from ..baselines import _make_rng, least_loaded_probe
 from ..batched import ConflictScratch, stable_tiebreak_ranks
-from ..process import _DEFAULT_CHUNK_ROUNDS
-from .base import _PLACED, OnlineStepper, speculate_balls, speculation_window
+from .base import (
+    _DEFAULT_CHUNK_ROUNDS,
+    _PLACED,
+    OnlineStepper,
+    speculate_balls,
+    speculation_window,
+)
 
 __all__ = ["HierarchicalGoLeftStepper", "LocalityTwoChoiceStepper"]
 
@@ -129,6 +133,8 @@ class HierarchicalGoLeftStepper(_ZoneCounterMixin, OnlineStepper):
                     f"{topo.name!r} has {topo.n_racks} racks but d={d} was "
                     f"given"
                 )
+        if n_balls is not None and n_balls < 0:
+            raise ValueError(f"n_balls must be non-negative, got {n_balls}")
         self.n_bins = n_bins
         self.topology = topo
         self.d = topo.n_racks
@@ -261,6 +267,9 @@ class LocalityTwoChoiceStepper(_ZoneCounterMixin, OnlineStepper):
         threshold = int(threshold)
         if threshold < 0:
             raise ValueError(f"threshold must be non-negative, got {threshold}")
+        self.topology = as_topology(topology, n_bins)
+        if n_balls is not None and n_balls < 0:
+            raise ValueError(f"n_balls must be non-negative, got {n_balls}")
         chunk_rounds = (
             _DEFAULT_CHUNK_ROUNDS if chunk_rounds is None else chunk_rounds
         )
@@ -270,7 +279,6 @@ class LocalityTwoChoiceStepper(_ZoneCounterMixin, OnlineStepper):
         self.d = d
         self.bias = float(bias)
         self.threshold = threshold
-        self.topology = as_topology(topology, n_bins)
         self.chunk_rounds = chunk_rounds
         self.rng = _make_rng(seed, rng)
         self.planned_balls = n_bins if n_balls is None else n_balls

@@ -1,7 +1,6 @@
 """The weighted (k, d)-choice kernel.
 
-Draw blocks (identical to :func:`~repro.core.weighted.run_weighted_kd_choice`):
-the full weight vector first (via :func:`~repro.core.weighted.make_weights`),
+Draw blocks: the full weight vector first (via :func:`~repro.core.weighted.make_weights`),
 then paired ``(chunk, d)`` sample and tie-break blocks per
 ``min(rounds remaining, 4096)`` rounds; the partial tail round draws its own
 ``size=d`` pair.
@@ -21,7 +20,6 @@ import numpy as np
 
 from ..baselines import _make_rng
 from ..batched import ConflictScratch, conflict_free_prefix
-from ..process import _DEFAULT_CHUNK_ROUNDS
 from ..types import ProcessParams
 from ..weighted import (
     WeightSpec,
@@ -30,7 +28,13 @@ from ..weighted import (
     weighted_extra,
     weighted_round_apply,
 )
-from .base import _PLACED, OnlineStepper, normalize_capacities, speculation_window
+from .base import (
+    _DEFAULT_CHUNK_ROUNDS,
+    _PLACED,
+    OnlineStepper,
+    normalize_capacities,
+    speculation_window,
+)
 
 __all__ = ["WeightedKDChoiceStepper", "_weighted_rounds"]
 
@@ -109,11 +113,10 @@ def _weighted_rounds(
 class WeightedKDChoiceStepper(OnlineStepper):
     """Streaming weighted (k, d)-choice, unit = one round.
 
-    The ball weights are materialized up front (the reference engines call
+    The ball weights are materialized up front (every engine calls
     :func:`~repro.core.weighted.make_weights` before placing anything), so
     streamed items carry the spec's weights, not caller-supplied ones.
-    Samples and tie-breaks are drawn in the scalar engine's paired
-    ``(chunk, d)`` blocks; ``step_block`` rides the speculate-and-truncate
+    Samples and tie-breaks are drawn in paired ``(chunk, d)`` blocks; ``step_block`` rides the speculate-and-truncate
     weighted batch kernel.  ``loads`` exposes ball counts (the
     unit-invariant view); ``weighted_loads`` the per-bin total weight.
     """

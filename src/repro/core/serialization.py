@@ -86,7 +86,7 @@ class SerializedKDChoice:
     Parameters
     ----------
     n_bins, k, d:
-        As in :class:`~repro.core.process.KDChoiceProcess`.
+        Bins, balls per round and probes per round, ``1 <= k <= d <= n_bins``.
     sigma:
         Either a named strategy ("identity", "reversed", "random") or a
         callable ``(round_index, k, rng) -> permutation of range(k)``.

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..core.process import run_kd_choice
+from ..api import SchemeSpec, simulate
 from ..simulation.results import ResultTable
 from ..simulation.rng import SeedTree
 from ..simulation.runner import run_trials
@@ -53,13 +53,18 @@ def run_policy_ablation(
     tree = SeedTree(seed)
     points: List[AblationPoint] = []
     for k, d in configurations:
+        params = {"n_bins": n, "k": k, "d": d}
         strict_values = run_trials(
-            lambda s, k=k, d=d: run_kd_choice(n_bins=n, k=k, d=d, policy="strict", seed=s),
+            lambda s, p=params: simulate(
+                SchemeSpec(scheme="kd_choice", params=p, policy="strict", seed=s)
+            ),
             trials=trials,
             seed=tree.integer_seed(),
         )
         greedy_values = run_trials(
-            lambda s, k=k, d=d: run_kd_choice(n_bins=n, k=k, d=d, policy="greedy", seed=s),
+            lambda s, p=params: simulate(
+                SchemeSpec(scheme="kd_choice", params=p, policy="greedy", seed=s)
+            ),
             trials=trials,
             seed=tree.integer_seed(),
         )

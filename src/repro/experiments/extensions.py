@@ -29,10 +29,8 @@ from ..analysis.exact import (
     max_load_distribution,
     total_variation_distance,
 )
+from ..api import SchemeSpec, simulate
 from ..core.dynamic import run_churn_kd_choice
-from ..core.process import run_kd_choice
-from ..core.stale import run_stale_kd_choice
-from ..core.weighted import run_weighted_kd_choice
 from ..simulation.results import ResultTable
 from ..simulation.rng import SeedTree
 from ..simulation.runner import run_trials
@@ -83,14 +81,20 @@ def run_weighted_experiment(
     points: List[WeightedPoint] = []
     for k, d in configurations:
         unit_loads = run_trials(
-            lambda s, k=k, d=d: run_kd_choice(n_bins=n, k=k, d=d, seed=s),
+            lambda s, k=k, d=d: simulate(
+                SchemeSpec("kd_choice", {"n_bins": n, "k": k, "d": d}, seed=s)
+            ),
             trials=trials,
             seed=tree.integer_seed(),
         )
         for distribution in weight_distributions:
             gaps = run_trials(
-                lambda s, k=k, d=d, w=distribution: run_weighted_kd_choice(
-                    n_bins=n, k=k, d=d, weights=w, seed=s
+                lambda s, k=k, d=d, w=distribution: simulate(
+                    SchemeSpec(
+                        "weighted_kd_choice",
+                        {"n_bins": n, "k": k, "d": d, "weights": w},
+                        seed=s,
+                    )
                 ),
                 trials=trials,
                 seed=tree.integer_seed(),
@@ -155,8 +159,12 @@ def run_staleness_experiment(
     points: List[StalenessPoint] = []
     for stale_rounds in stale_rounds_values:
         values = run_trials(
-            lambda s, e=stale_rounds: run_stale_kd_choice(
-                n_bins=n, k=k, d=d, stale_rounds=e, seed=s
+            lambda s, e=stale_rounds: simulate(
+                SchemeSpec(
+                    "stale_kd_choice",
+                    {"n_bins": n, "k": k, "d": d, "stale_rounds": e},
+                    seed=s,
+                )
             ),
             trials=trials,
             seed=tree.integer_seed(),
@@ -297,8 +305,12 @@ def run_open_question_heavy(
         for k, d in configurations:
             for factor in load_factors:
                 gaps = run_trials(
-                    lambda s, k=k, d=d, m=factor * n: run_kd_choice(
-                        n_bins=n, k=k, d=d, n_balls=m, seed=s
+                    lambda s, k=k, d=d, m=factor * n: simulate(
+                        SchemeSpec(
+                            "kd_choice",
+                            {"n_bins": n, "k": k, "d": d, "n_balls": m},
+                            seed=s,
+                        )
                     ),
                     trials=trials,
                     seed=tree.integer_seed(),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from ..analysis.bounds import theorem2_bounds
-from ..core.process import run_kd_choice
+from ..api import SchemeSpec, simulate
 from ..simulation.results import ResultTable
 from ..simulation.rng import SeedTree
 from ..simulation.runner import run_trials
@@ -38,6 +38,12 @@ class HeavyPoint:
     sandwich_upper_gap: float
     bound_lower: float
     bound_upper: float
+
+
+def _kd_choice(n: int, k: int, d: int, m: int, seed: "int | None"):
+    return simulate(
+        SchemeSpec("kd_choice", {"n_bins": n, "k": k, "d": d, "n_balls": m}, seed=seed)
+    )
 
 
 def run_heavy_case(
@@ -63,24 +69,20 @@ def run_heavy_case(
         for factor in load_factors:
             m = factor * n
             gaps = run_trials(
-                lambda s, k=k, d=d, m=m: run_kd_choice(n_bins=n, k=k, d=d, n_balls=m, seed=s),
+                lambda s, k=k, d=d, m=m: _kd_choice(n, k, d, m, s),
                 trials=trials,
                 seed=tree.integer_seed(),
                 metric=lambda result: float(result.gap),
             )
             lower_gaps = run_trials(
-                lambda s, k=k, d=d, m=m: run_kd_choice(
-                    n_bins=n, k=1, d=d - k + 1, n_balls=m, seed=s
-                ),
+                lambda s, k=k, d=d, m=m: _kd_choice(n, 1, d - k + 1, m, s),
                 trials=trials,
                 seed=tree.integer_seed(),
                 metric=lambda result: float(result.gap),
             )
             upper_d = max(d // k, 1)
             upper_gaps = run_trials(
-                lambda s, upper_d=upper_d, m=m: run_kd_choice(
-                    n_bins=n, k=1, d=upper_d, n_balls=m, seed=s
-                ),
+                lambda s, upper_d=upper_d, m=m: _kd_choice(n, 1, upper_d, m, s),
                 trials=trials,
                 seed=tree.integer_seed(),
                 metric=lambda result: float(result.gap),

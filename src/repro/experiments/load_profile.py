@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..analysis.recurrences import beta_zero, gamma_star, gamma_zero
+from ..api import SchemeSpec, simulate
 from ..core.metrics import load_profile
-from ..core.process import run_kd_choice
 
 __all__ = ["ProfileSeries", "LoadProfileResult", "run_load_profile", "downsample_profile"]
 
@@ -134,7 +134,13 @@ def run_load_profile(
     """
     result = LoadProfileResult(n=n)
     for index, (k, d) in enumerate(configurations):
-        run = run_kd_choice(n_bins=n, k=k, d=d, seed=None if seed is None else seed + index)
+        run = simulate(
+            SchemeSpec(
+                "kd_choice",
+                {"n_bins": n, "k": k, "d": d},
+                seed=None if seed is None else seed + index,
+            )
+        )
         profile = load_profile(run)
         beta0 = beta_zero(k, d, n)
         gamma0 = gamma_zero(d, n)

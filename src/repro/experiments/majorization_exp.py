@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from ..analysis.majorization import MajorizationReport, compare_processes
-from ..core.process import run_kd_choice
+from ..api import SchemeSpec, simulate
 from ..simulation.results import ResultTable
 from ..simulation.rng import SeedTree
 
@@ -32,7 +32,9 @@ class MajorizationExperiment:
 
 
 def _kd_runner(n: int, k: int, d: int):
-    return lambda seed: run_kd_choice(n_bins=n, k=k, d=d, seed=seed)
+    return lambda seed: simulate(
+        SchemeSpec("kd_choice", {"n_bins": n, "k": k, "d": d}, seed=seed)
+    )
 
 
 def run_majorization_chain(

@@ -139,7 +139,7 @@ def table1_cell(
     ``k = d`` degenerating to batched single choice).  The cell is expressed
     as a ``kd_choice`` :class:`~repro.api.SchemeSpec`; ``engine`` forwards to
     the execution engine (the vectorized fast path is seed-for-seed identical
-    to the scalar reference), ``n_jobs`` fans the trials out over a process
+    to the scalar engine), ``n_jobs`` fans the trials out over a process
     pool and ``cache`` skips trials already in an on-disk
     :class:`~repro.api.ResultStore` — none of the three changes the results.
     """

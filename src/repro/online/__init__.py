@@ -20,8 +20,8 @@ Key pieces
     :func:`~repro.online.trace.replay_trace` replays it deterministically
     across engines.  CLI: ``repro stream`` / ``repro replay``.
 :mod:`~repro.core.kernels`
-    The per-scheme steppers underneath, mirroring each scalar runner's RNG
-    blocks exactly.
+    The per-scheme steppers underneath; each one is its scheme's
+    definition, and the scalar engine is a loop of its ``step()``.
 """
 
 from ..core.kernels import OnlineStepper, StreamExhausted

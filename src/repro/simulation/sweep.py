@@ -189,7 +189,7 @@ class KDGridSweep:
 
     Invalid combinations (``k > d``) are skipped, mirroring the dashes in
     Table 1.  Each valid cell executes as a ``kd_choice``
-    :class:`~repro.api.SchemeSpec`; ``engine`` selects the scalar reference
+    :class:`~repro.api.SchemeSpec`; ``engine`` selects the scalar engine
     or a batch engine ("auto" picks the fastest one where exact).
     """
 

@@ -1,10 +1,10 @@
 """Rack/zone topologies with cross-zone probe costs.
 
 The :class:`~repro.topology.records.Topology` record freezes a
-zone → rack → bin tree plus per-edge probe/transfer costs; the scheme
-runners in :mod:`repro.topology.schemes` are the scalar references for
-the topology-aware kernels (``hierarchical_always_go_left``,
-``locality_two_choice``) registered in :mod:`repro.core.kernels.table`.
+zone → rack → bin tree plus per-edge probe/transfer costs;
+:mod:`repro.topology.schemes` holds the helpers of the topology-aware
+kernels (``hierarchical_always_go_left``, ``locality_two_choice``)
+registered in :mod:`repro.core.kernels.table`.
 """
 
 from .records import (
@@ -26,8 +26,6 @@ from .schemes import (
     ZoneCounters,
     local_probe_slots,
     locality_select,
-    run_hierarchical_go_left,
-    run_locality_two_choice,
 )
 
 __all__ = [
@@ -44,8 +42,6 @@ __all__ = [
     "load_topology",
     "local_probe_slots",
     "locality_select",
-    "run_hierarchical_go_left",
-    "run_locality_two_choice",
     "save_topology",
     "topology_registry_dump",
     "zone_counter_extra",

@@ -471,9 +471,9 @@ def zone_counter_extra(
     """Decorate zone counters with fractions and modelled costs.
 
     ``counters`` carries ``{rack,zone,cross}_probes`` and
-    ``{rack,zone,cross}_places``; the scalar references and the derived
-    engines both report their results through this one helper so the
-    ``extra`` payloads cannot drift.
+    ``{rack,zone,cross}_places``; every engine (and the test oracles)
+    reports its results through this one helper so the ``extra``
+    payloads cannot drift.
     """
     probes = {r: int(counters[f"{r}_probes"]) for r in RELATIONS}
     places = {r: int(counters[f"{r}_places"]) for r in RELATIONS}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import run_kd_choice
 from repro.analysis.majorization import (
     MajorizationReport,
     compare_processes,
@@ -12,7 +13,6 @@ from repro.analysis.majorization import (
     mean_prefix_profile,
     prefix_sum_profile,
 )
-from repro.core.process import run_kd_choice
 from repro.core.types import AllocationResult
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import run_kd_choice
 from repro.api import (
     SchemeSpec,
     get_scheme,
@@ -14,7 +15,6 @@ from repro.api import (
     simulate_trials,
 )
 from repro.core.compiled import backend_unavailable_reason
-from repro.core.process import run_kd_choice
 from repro.simulation.rng import SeedTree
 
 #: Configurations spanning the engine's regimes: generic k < d, two-choice,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.adaptive import run_threshold_adaptive, run_two_phase_adaptive
+from oracles import run_threshold_adaptive, run_two_phase_adaptive
 from repro.core.baselines import run_single_choice
 
 

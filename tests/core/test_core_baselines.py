@@ -5,13 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.baselines import (
-    run_always_go_left,
-    run_batch_random,
-    run_d_choice,
-    run_one_plus_beta,
-    run_single_choice,
-)
+from oracles import run_always_go_left, run_d_choice, run_one_plus_beta
+from repro.core.baselines import run_batch_random, run_single_choice
 
 
 class TestSingleChoice:

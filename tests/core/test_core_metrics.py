@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import run_kd_choice
 from repro.core import metrics
-from repro.core.process import run_kd_choice
 from repro.core.types import AllocationResult
 
 

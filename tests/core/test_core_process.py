@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.process import KDChoiceProcess, run_kd_choice
+from oracles import KDChoiceProcess, run_kd_choice
 
 
 class TestValidation:

@@ -134,7 +134,7 @@ class TestPropertyOne:
     def test_matches_round_process_max_load_statistically(self):
         # The serialized process and the round process are the same process;
         # over a few seeds their max loads should coincide almost always.
-        from repro.core.process import run_kd_choice
+        from oracles import run_kd_choice
 
         serial = [
             run_serialized_kd_choice(n_bins=512, k=4, d=8, seed=s).max_load

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import StaleKDChoiceProcess, run_stale_kd_choice
 from repro.core.dynamic import DynamicKDChoiceProcess, run_churn_kd_choice
-from repro.core.stale import StaleKDChoiceProcess, run_stale_kd_choice
 
 
 class TestStaleProcess:

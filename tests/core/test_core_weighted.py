@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.weighted import WeightedKDChoiceProcess, make_weights, run_weighted_kd_choice
+from oracles import WeightedKDChoiceProcess, run_weighted_kd_choice
+from repro.core.weighted import make_weights
 
 
 class TestMakeWeights:

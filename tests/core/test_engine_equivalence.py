@@ -2,9 +2,11 @@
 
 The contract locked down here is the one the vectorized engines advertise:
 for every covered scheme family, a fixed seed produces **bit-for-bit** the
-same final load vector as the scalar reference, and both engines consume the
-underlying random stream identically (so results stay equivalent under any
-composition — trial fan-out, caching, parallel executors).
+same final load vector as the scalar reference — the hand-written oracle
+loops of ``tests/oracles`` (the scalar engine itself is checked against
+them in ``test_scalar_oracles.py``) — and both consume the underlying random
+stream identically (so results stay equivalent under any composition —
+trial fan-out, caching, parallel executors).
 
 Two layers of coverage:
 
@@ -23,21 +25,23 @@ import random
 import numpy as np
 import pytest
 
-from repro.api import get_scheme
-from repro.core.adaptive import run_threshold_adaptive, run_two_phase_adaptive
-from repro.core.baselines import (
+from oracles import (
     run_always_go_left,
     run_d_choice,
+    run_hierarchical_go_left,
+    run_kd_choice,
+    run_locality_two_choice,
     run_one_plus_beta,
+    run_stale_kd_choice,
+    run_threshold_adaptive,
+    run_two_phase_adaptive,
+    run_weighted_kd_choice,
 )
+from repro.api import get_scheme
 from repro.core.dynamic import run_churn_kd_choice
 from repro.core.kernels.churn import run_churn_kd_choice_vectorized
 from repro.core.kernels.kd import speculation_window
-from repro.core.process import run_kd_choice
 from repro.core.serialization import run_serialized_kd_choice
-from repro.core.stale import run_stale_kd_choice
-from repro.core.weighted import run_weighted_kd_choice
-from repro.topology.schemes import run_hierarchical_go_left, run_locality_two_choice
 
 try:  # optional: the randomized parametrization below covers its absence
     from hypothesis import given, settings, strategies as st

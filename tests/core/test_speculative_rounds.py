@@ -14,9 +14,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import ORACLES
+from oracles import weighted as weighted_oracle
 from repro.api import SchemeSpec, get_scheme, simulate
 from repro.core import batched, policies
-from repro.core import weighted as weighted_core
 from repro.core.batched import (
     ConflictScratch,
     add_repeat_counts,
@@ -128,7 +129,7 @@ def _forbid_scalar_kernel(monkeypatch):
 def test_batched_paths_never_call_the_scalar_kernel(monkeypatch, scheme, params):
     # Whole rounds only (n_balls % k == 0): a partial tail round is a
     # per-unit step by design.
-    reference = get_scheme(scheme).runner(seed=4, **params)
+    reference = ORACLES[scheme](seed=4, **params)
     _forbid_scalar_kernel(monkeypatch)
     result = get_scheme(scheme).vectorized(seed=4, **params)
     assert np.array_equal(result.loads, reference.loads)
@@ -157,7 +158,7 @@ def _run(scheme, params, engine):
 def test_per_ball_kernels_never_replay(monkeypatch, scheme, params):
     # High conflict: thousands of balls into 64 bins, so almost every
     # speculation window truncates.
-    reference = _run(scheme, params, "scalar")
+    reference = ORACLES[scheme](**params, seed=5)
 
     def refuse(*args, **kwargs):
         raise AssertionError(f"{scheme}'s batched path replayed a ball")
@@ -183,16 +184,16 @@ def test_per_ball_kernels_never_replay(monkeypatch, scheme, params):
     ],
 )
 def test_weighted_kernel_replays_only_repeated_samples(monkeypatch, params):
-    # Spy on the scalar reference's round kernel for every round's samples.
+    # Spy on the oracle's round kernel for every round's samples.
     repeated = []
-    scalar_round = weighted_core.weighted_round_apply
+    scalar_round = weighted_oracle.weighted_round_apply
 
     def record(loads, counts, samples, *args, **kwargs):
         repeated.append(len(set(samples)) < len(samples))
         return scalar_round(loads, counts, samples, *args, **kwargs)
 
-    monkeypatch.setattr(weighted_core, "weighted_round_apply", record)
-    reference = _run("weighted_kd_choice", params, "scalar")
+    monkeypatch.setattr(weighted_oracle, "weighted_round_apply", record)
+    reference = ORACLES["weighted_kd_choice"](**params, seed=5)
     monkeypatch.undo()
     assert len(repeated) == params["n_balls"] // params["k"]
 

@@ -4,7 +4,9 @@ The contract locked down here is the one :mod:`repro.online` advertises:
 for every scheme with an online stepper, streaming the spec's ``n_balls``
 items — one :meth:`place` at a time, through chunked :meth:`place_batch`
 calls, or any mix — produces loads, message/round accounting **and
-generator state** bit-for-bit identical to ``simulate()`` of the same spec.
+generator state** bit-for-bit identical to the scheme's batch reference: its
+hand-written oracle loop (``tests/oracles``), or, for the schemes that keep
+one, its hand-written scalar runner.
 
 Mirroring ``tests/core/test_engine_equivalence.py``, two layers of coverage:
 
@@ -26,6 +28,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles import ORACLES
 from repro.api import (
     REGISTRY,
     SchemeSpec,
@@ -76,14 +79,25 @@ def _stream(spec: SchemeSpec, n_items: int, mode: str) -> OnlineAllocator:
     return allocator
 
 
+def _reference(scheme: str, params: dict, rng: np.random.Generator):
+    """The scheme's independent batch reference.
+
+    A kernel's scalar engine is its stepper's ``step()`` loop, so where a
+    scheme has an oracle (``tests/oracles``) the stream is compared with
+    that; the schemes that keep a hand-written runner use their scalar
+    engine.
+    """
+    oracle = ORACLES.get(get_scheme(scheme).name)
+    if oracle is not None:
+        return oracle(**params, rng=rng)
+    return simulate(SchemeSpec(scheme=scheme, params=params, rng=rng, engine="scalar"))
+
+
 def check_scheme(scheme: str, params: dict, seed: int, modes=MODES) -> None:
     """Stream vs batch: loads, accounting and RNG stream must coincide."""
     n_items = params.get("n_balls", params["n_bins"])
     reference_rng = np.random.default_rng(seed)
-    batch = simulate(
-        SchemeSpec(scheme=scheme, params=params, rng=reference_rng,
-                   engine="scalar")
-    )
+    batch = _reference(scheme, params, reference_rng)
     reference_state = reference_rng.bit_generator.state
     for mode in modes:
         stream_rng = np.random.default_rng(seed)
@@ -202,10 +216,7 @@ class TestRandomizedStreamEquivalence:
         params = {"n_bins": case["n_bins"], "k": case["k"], "d": case["d"],
                   "n_balls": case["n_balls"]}
         rng = np.random.default_rng(case["seed"])
-        batch = simulate(
-            SchemeSpec(scheme="weighted_kd_choice", params=params, rng=rng,
-                       engine="scalar")
-        )
+        batch = _reference("weighted_kd_choice", params, rng)
         allocator = _stream(
             SchemeSpec(scheme="weighted_kd_choice", params=params,
                        seed=case["seed"]),
@@ -473,10 +484,7 @@ class TestCompiledStreamEquivalence:
     def test_compiled_stream_matches_scalar_batch(self, scheme, params, seed):
         n_items = params["n_balls"]
         reference_rng = np.random.default_rng(seed)
-        batch = simulate(
-            SchemeSpec(scheme=scheme, params=params, rng=reference_rng,
-                       engine="scalar")
-        )
+        batch = _reference(scheme, params, reference_rng)
         reference_state = reference_rng.bit_generator.state
         for mode in ("batch", "mixed"):
             stream_rng = np.random.default_rng(seed)

@@ -1,28 +1,17 @@
-"""The (k, d)-choice allocation process.
+"""Oracle: the hand-written (k, d)-choice runner.
 
-This module implements the paper's primary contribution: in each of
-``m / k`` rounds, ``d`` bins are chosen independently and uniformly at random
-(with replacement) and ``k`` balls are placed into the ``k`` least loaded of
-them, subject to the multiplicity cap "a bin sampled ``m`` times receives at
-most ``m`` balls" (implemented by :class:`repro.core.policies.StrictPolicy`).
+In each of ``m / k`` rounds, ``d`` bins are chosen independently and
+uniformly at random (with replacement) and ``k`` balls are placed into the
+``k`` least loaded of them, subject to the multiplicity cap "a bin sampled
+``m`` times receives at most ``m`` balls" (implemented by
+:class:`repro.core.policies.StrictPolicy`).
 
-Two entry points are provided:
-
-* :class:`KDChoiceProcess` — an object that owns the bin state and can be run
-  round by round (useful for tests and for tracking intermediate ``ν_y``).
-* :func:`run_kd_choice` — a one-call convenience wrapper returning an
-  :class:`~repro.core.types.AllocationResult`.
-
-The heavily loaded case (``m > n`` balls, Theorem 2) is supported by simply
-asking for more balls than bins.
-
-.. note::
-   The canonical front door of the library is :func:`repro.api.simulate`
-   with ``SchemeSpec(scheme="kd_choice", ...)``: it validates parameters
-   against the scheme registry and can select the vectorized batch engine
-   (derived from the kernel table, :mod:`repro.core.kernels`), which is
-   seed-for-seed identical to this scalar reference.
-   :func:`run_kd_choice` is kept as a thin shim.
+This is an independent scalar reference kept for the tests: the library's
+scalar engine is the kernel stepper's ``step()`` loop
+(:func:`repro.core.kernels.table.drive`), and the equivalence harnesses
+compare every engine against this loop seed for seed.  It imports nothing
+from :mod:`repro.core.kernels`; the ``capacities`` variant is defined by
+the kernel alone and is not modelled here.
 """
 
 from __future__ import annotations
@@ -31,11 +20,11 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .policies import AllocationPolicy, get_policy
-from .state import BinState
-from .types import AllocationResult, ProcessParams
+from repro.core.policies import AllocationPolicy, get_policy
+from repro.core.state import BinState
+from repro.core.types import AllocationResult, ProcessParams
 
-__all__ = ["KDChoiceProcess", "run_kd_choice"]
+__all__ = ["KDChoiceProcess", "run_kd_choice", "run_greedy_kd_choice"]
 
 # Number of rounds whose random samples are drawn from the generator in one
 # NumPy call.  Chunking keeps memory bounded (a full Table-1 run with k = 1,
@@ -198,19 +187,8 @@ def run_kd_choice(
     seed: "int | np.random.SeedSequence | None" = None,
     rng: Optional[np.random.Generator] = None,
     chunk_rounds: Optional[int] = None,
-    capacities: Optional[np.ndarray] = None,
 ) -> AllocationResult:
     """Run a complete (k, d)-choice allocation and return its result.
-
-    .. note::
-       Deprecated front door — prefer the unified spec API::
-
-           from repro.api import SchemeSpec, simulate
-           simulate(SchemeSpec(scheme="kd_choice",
-                               params={"n_bins": n, "k": k, "d": d}, seed=seed))
-
-       This shim remains for backwards compatibility and is exactly the
-       registry's scalar ``kd_choice`` runner.
 
     Parameters
     ----------
@@ -229,10 +207,6 @@ def run_kd_choice(
         bounds the sample-buffer memory at ``O(chunk_rounds * d)``; the
         random stream (and therefore the result) depends on it, so compare
         engines only at equal ``chunk_rounds``.
-    capacities:
-        Optional per-bin capacity vector (the ``hetero_bins`` workload):
-        the strict rule then ranks candidates by fractional fill
-        ``(load + 1) / capacity`` instead of raw load.  Strict policy only.
 
     Examples
     --------
@@ -240,22 +214,22 @@ def run_kd_choice(
     >>> result.total_balls_check()
     True
     """
-    if capacities is not None:
-        # The fill-aware process is defined by the streaming kernel
-        # (KDChoiceStepper.step); the batch drive loop declines its batched
-        # apply under capacities, so this runs the per-round reference path.
-        from .kernels.table import KERNELS, drive
-
-        result = drive(
-            KERNELS["kd_choice"], "vectorized",
-            n_bins=n_bins, k=k, d=d, n_balls=n_balls, policy=policy,
-            seed=seed, rng=rng, chunk_rounds=chunk_rounds,
-            capacities=capacities,
-        )
-        result.extra.pop("engine", None)
-        return result
     process = KDChoiceProcess(
         n_bins=n_bins, k=k, d=d, policy=policy, seed=seed, rng=rng,
         chunk_rounds=_DEFAULT_CHUNK_ROUNDS if chunk_rounds is None else chunk_rounds,
     )
     return process.run(n_balls=n_balls)
+
+
+def run_greedy_kd_choice(
+    n_bins: int,
+    k: int,
+    d: int,
+    n_balls: Optional[int] = None,
+    seed: "int | np.random.SeedSequence | None" = None,
+    rng: Optional[np.random.Generator] = None,
+) -> AllocationResult:
+    """(k, d)-choice under the greedy water-filling relaxation."""
+    return run_kd_choice(
+        n_bins=n_bins, k=k, d=d, n_balls=n_balls, policy="greedy", seed=seed, rng=rng
+    )

@@ -1,4 +1,4 @@
-"""(k, d)-choice with stale load information (parallel-round extension).
+"""Oracle: the hand-written stale-information (k, d)-choice runner.
 
 The paper positions (k, d)-choice as a *semi-parallel* process: the k balls
 of a round share one probe wave, but rounds are still sequential and every
@@ -14,6 +14,10 @@ applied at its end.  ``stale_rounds = 1`` recovers the paper's process
 exactly; larger values quantify how much the guarantee degrades as the
 synchrony assumption weakens — the question the parallel-allocation line of
 work answers analytically.
+
+An independent scalar reference kept for the tests (the library runs the
+kernel stepper's ``step()`` loop); it imports nothing from
+:mod:`repro.core.kernels`.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .policies import AllocationPolicy, get_policy, strict_select
-from .types import AllocationResult, ProcessParams
+from repro.core.policies import AllocationPolicy, get_policy, strict_select
+from repro.core.types import AllocationResult, ProcessParams
 
 __all__ = ["StaleKDChoiceProcess", "run_stale_kd_choice"]
 
@@ -34,7 +38,7 @@ class StaleKDChoiceProcess:
     Parameters
     ----------
     n_bins, k, d, policy, seed, rng:
-        As for :class:`~repro.core.process.KDChoiceProcess`.
+        As for :class:`oracles.process.KDChoiceProcess`.
     stale_rounds:
         Number of rounds per epoch.  All rounds of an epoch probe the bin
         loads as of the epoch start; their placements are applied together at

@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from oracles import run_stale_kd_choice, run_weighted_kd_choice
 from repro.core.dynamic import DynamicKDChoiceProcess
-from repro.core.stale import run_stale_kd_choice
-from repro.core.weighted import run_weighted_kd_choice
 
 
 @st.composite

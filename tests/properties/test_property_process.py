@@ -7,8 +7,8 @@ from collections import Counter
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from oracles import run_kd_choice
 from repro.core.policies import GreedyPolicy, StrictPolicy
-from repro.core.process import run_kd_choice
 from repro.core.state import BinState
 
 

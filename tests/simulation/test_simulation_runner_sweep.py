@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.process import run_kd_choice
+from oracles import run_kd_choice
 from repro.simulation.runner import ExperimentRunner, run_trials
 from repro.simulation.sweep import KDGridSweep, ParameterSweep
 

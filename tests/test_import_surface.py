@@ -45,8 +45,14 @@ def test_shims_are_gone(name):
     assert name not in repro.__all__
 
 
-#: Modules that only re-exported the per-scheme batch engines and steppers.
-_REMOVED_SHIM_MODULES = ("repro.core.vectorized", "repro.online.steppers")
+#: Modules that only re-exported the per-scheme batch engines and steppers,
+#: and the runner modules whose contents moved to the test oracles.
+_REMOVED_SHIM_MODULES = (
+    "repro.core.vectorized",
+    "repro.online.steppers",
+    "repro.core.process",
+    "repro.core.stale",
+)
 
 
 @pytest.mark.parametrize("module", _REMOVED_SHIM_MODULES)
@@ -95,11 +101,44 @@ def test_packages_export_no_per_scheme_batch_runners(package):
     assert runners == []
 
 
-def test_core_still_exposes_the_reference_runners():
-    from repro.core import run_kd_choice  # the undecorated implementation
+#: The hand-written scalar runners of the kernel-table schemes, moved to the
+#: test oracles (``tests/oracles``): each scheme's scalar engine is its
+#: stepper's ``step()`` loop, reached through the registry.
+_MOVED_SCALAR_RUNNERS = tuple(
+    ("repro.core", name)
+    for name in (
+        "KDChoiceProcess",
+        "StaleKDChoiceProcess",
+        "WeightedKDChoiceProcess",
+        "run_always_go_left",
+        "run_d_choice",
+        "run_kd_choice",
+        "run_one_plus_beta",
+        "run_stale_kd_choice",
+        "run_threshold_adaptive",
+        "run_two_phase_adaptive",
+        "run_weighted_kd_choice",
+    )
+) + (
+    ("repro", "KDChoiceProcess"),
+    ("repro", "StaleKDChoiceProcess"),
+    ("repro", "WeightedKDChoiceProcess"),
+    ("repro.core.adaptive", "run_threshold_adaptive"),
+    ("repro.core.baselines", "run_d_choice"),
+    ("repro.core.weighted", "run_weighted_kd_choice"),
+    ("repro.topology", "run_hierarchical_go_left"),
+    ("repro.topology", "run_locality_two_choice"),
+)
 
-    result = run_kd_choice(n_bins=128, k=1, d=2, seed=9)
-    assert result.total_balls_check()
+
+@pytest.mark.parametrize(
+    "module,name", _MOVED_SCALAR_RUNNERS,
+    ids=[f"{module}.{name}" for module, name in _MOVED_SCALAR_RUNNERS],
+)
+def test_moved_scalar_runners_are_gone(module, name):
+    imported = importlib.import_module(module)
+    assert not hasattr(imported, name), f"{module}.{name} should be gone"
+    assert name not in getattr(imported, "__all__", ())
 
 
 def test_spec_api_is_the_front_door():

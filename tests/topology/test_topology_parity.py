@@ -11,16 +11,13 @@ import json
 
 import pytest
 
+from oracles import ORACLES, run_hierarchical_go_left, run_locality_two_choice
 from repro.api import SchemeSpec, simulate
 from repro.core.kernels import (
     HierarchicalGoLeftStepper,
     LocalityTwoChoiceStepper,
 )
-from repro.topology import (
-    Topology,
-    run_hierarchical_go_left,
-    run_locality_two_choice,
-)
+from repro.topology import Topology
 
 SEED = 1234
 N_BINS = 256
@@ -83,14 +80,13 @@ class TestFlatParity:
         ],
     )
     def test_engines_agree_through_the_api(self, scheme, params):
-        loads = {}
+        oracle = ORACLES[scheme](**params, seed=7)
         for engine in ("scalar", "vectorized"):
             result = simulate(
                 SchemeSpec(scheme=scheme, params=params, seed=7, engine=engine)
             )
-            loads[engine] = result.loads
             assert result.extra["topology"] == params["topology"]
-        assert (loads["scalar"] == loads["vectorized"]).all()
+            assert (result.loads == oracle.loads).all(), engine
 
 
 class TestCostAccounting:
