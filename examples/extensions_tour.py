@@ -2,15 +2,15 @@
 """Tour of the extension models: weighted balls, stale probes, churn.
 
 The paper analyses the one-shot, unit-weight, fresh-information process.
-Real deployments differ in three ways, each covered by an extension module:
+Real deployments differ in three ways, each covered by an extension scheme:
 
-* **Weighted balls** (`repro.core.weighted`) — files and tasks are not all
+* **Weighted balls** (`weighted_kd_choice`) — files and tasks are not all
   the same size; how does the weighted load gap behave under exponential and
   heavy-tailed (Pareto) weights?
-* **Stale information** (`repro.core.stale`) — in a parallel system many
+* **Stale information** (`stale_kd_choice`) — in a parallel system many
   rounds may probe the same outdated load snapshot; how fast does the
   guarantee degrade with the staleness epoch?
-* **Churn** (`repro.core.dynamic`) — balls depart as well as arrive; what is
+* **Churn** (`churn_kd_choice`, `repro.core.dynamic`) — balls depart as well as arrive; what is
   the steady-state gap under balanced insert/delete traffic?
 
 Run with:  python examples/extensions_tour.py
