@@ -119,5 +119,6 @@ def test_parallel_and_cache_compose(tmp_path):
         "hits": PARALLEL_TRIALS,
         "misses": PARALLEL_TRIALS,
         "stores": PARALLEL_TRIALS,
+        "pruned": 0,
     }
     assert _outcome_fingerprint(first) == _outcome_fingerprint(second)

@@ -24,6 +24,16 @@ order, so a ``remove`` acts after the places queued before it and a
 written manifest is a consistent cut.  Responses may return out of order
 (clients match them by ``id``).
 
+The connection layer makes no task, future or lock per request.  Each
+connection's reader decodes its lines and answers ``ping``, ``shutdown``
+and malformed lines at once; ``stats`` is answered when the pool thread
+returns its summary; every mutating request goes on the window queue
+tagged with its connection.  When a window resolves, its answers are
+grouped by connection and each connection gets one write.  Backpressure
+is per connection, at its reader: before it reads the next line, a reader
+whose write buffer is not empty awaits ``drain()``, so a client that stops
+reading stalls only its own connection and never the batch loop.
+
 All pool work runs on a dedicated single-thread executor: the event loop
 never blocks on shard IPC, and pool state is touched by exactly one thread.
 """
@@ -32,8 +42,9 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import functools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..api.spec import SchemeSpec
 from .pool import ShardPool, ShardPoolError
@@ -72,6 +83,39 @@ class _Stop:
 
 _STOP = _Stop()
 
+#: Mutating ops: the window step kind each becomes, and the request field
+#: that is its payload.
+_WINDOW_OPS = {
+    "place": ("place", "item"),
+    "remove": ("remove", "item"),
+    "place_batch": ("batch", "count"),
+    "snapshot": ("snapshot", "path"),
+}
+
+
+class _Connection:
+    """One client connection and the answers it is still owed."""
+
+    __slots__ = ("reader", "writer", "transport", "pending", "idle")
+
+    def __init__(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        self.reader = reader
+        self.writer = writer
+        self.transport = writer.transport
+        self.pending = 0  # queued requests and stats ops not yet answered
+        # Set when ``pending`` reaches zero after the reader has ended.
+        self.idle: "Optional[asyncio.Future[None]]" = None
+
+    def send(self, answers: List[bytes]) -> None:
+        """Write owed answers as one write; none once the transport closes."""
+        if not self.transport.is_closing():
+            self.writer.write(b"".join(answers))
+        self.pending -= len(answers)
+        if not self.pending and self.idle is not None and not self.idle.done():
+            self.idle.set_result(None)
+
 
 class AllocationServer:
     """One shard pool behind a windowed TCP frontend.
@@ -109,9 +153,9 @@ class AllocationServer:
         )
         self._stopped: Optional[asyncio.Event] = None
         self._stopping = False
-        # Open connections: each one's reader and its handler task, so
-        # stop() can end them.
-        self._connections: Dict[asyncio.StreamReader, asyncio.Task] = {}
+        self._shutdown: Optional[asyncio.Task] = None  # stop() run by the op
+        # Open connections and their handler tasks, so stop() can end them.
+        self._connections: Dict[_Connection, asyncio.Task] = {}
         # Counters reported by the stats op (and the CI smoke step).
         self.requests = 0
         self.places = 0
@@ -168,8 +212,10 @@ class AllocationServer:
             # Wake every handler blocked on its next request line; each
             # finishes its in-flight requests and closes its connection.
             handlers = list(self._connections.values())
-            for reader in self._connections:
-                reader.set_exception(ConnectionAbortedError("the server is stopping"))
+            for connection in self._connections:
+                connection.reader.set_exception(
+                    ConnectionAbortedError("the server is stopping")
+                )
             await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
         if self._batcher is not None:
@@ -228,16 +274,15 @@ class AllocationServer:
                 self._pool_executor, self._run_window, steps
             )
             self._resolve(steps, outcomes)
-        # Drain anything queued behind the stop sentinel.
+        # Refuse anything queued behind the stop sentinel.
+        rest = []
         while not queue.empty():
             entry = queue.get_nowait()
-            if entry is _STOP:
-                continue
-            future = entry[2]
-            if not future.done():
-                future.set_exception(ShardPoolError("the server is stopping"))
+            if entry is not _STOP:
+                rest.append((entry[0], entry[1], [entry[2]]))
+        self._resolve(rest, [ShardPoolError("the server is stopping")] * len(rest))
 
-    def _plan(self, window: List[Tuple[str, Any, "asyncio.Future"]]) -> List[tuple]:
+    def _plan(self, window: List[Tuple[str, Any, tuple]]) -> List[tuple]:
         """Group a window into pool calls, keeping arrival order.
 
         Each maximal run of places with the same tracked-ness becomes one
@@ -249,17 +294,17 @@ class AllocationServer:
         self.window_ops += len(window)
         steps: List[tuple] = []
         run: Optional[List[Any]] = None
-        for kind, payload, future in window:
+        for kind, payload, tag in window:
             if kind != "place":
                 run = None
-                steps.append((kind, payload, [future]))
+                steps.append((kind, payload, [tag]))
                 continue
             if run is None or (payload is None) != (run[0] is None):
-                run, run_futures = [], []
-                steps.append(("place", run, run_futures))
+                run, run_tags = [], []
+                steps.append(("place", run, run_tags))
                 self.batches += 1
             run.append(payload)
-            run_futures.append(future)
+            run_tags.append(tag)
             self.batched_places += 1
             self.largest_batch = max(self.largest_batch, len(run))
         return steps
@@ -299,24 +344,49 @@ class AllocationServer:
         return outcomes
 
     def _resolve(self, steps: List[tuple], outcomes: List[Any]) -> None:
-        """Resolve each step's futures with its outcome."""
-        for (kind, payload, futures), outcome in zip(steps, outcomes):
+        """Answer each step's requests: one write per connection touched.
+
+        A step's tags are ``(connection, request id)`` pairs, one per
+        request it carries.
+        """
+        owed: Dict[_Connection, List[bytes]] = {}
+        for (kind, payload, tags), outcome in zip(steps, outcomes):
             if isinstance(outcome, ShardPoolError):
-                for future in futures:
-                    if not future.done():
-                        future.set_exception(ShardPoolError(str(outcome)))
-                continue
-            if kind == "place":
-                self.places += len(futures)
+                message = str(outcome)
+                responses = [error_response(rid, message) for _, rid in tags]
+            elif kind == "place":
+                self.places += len(tags)
                 shards, bins = outcome
-                results: Any = zip(shards.tolist(), bins.tolist())
+                responses = [
+                    ok_response(rid, shard=shard, bin=bin_index)
+                    for (_, rid), shard, bin_index in zip(
+                        tags, shards.tolist(), bins.tolist()
+                    )
+                ]
             else:
+                rid = tags[0][1]
                 if kind == "batch":
                     self.places += payload
-                results = [outcome]
-            for future, result in zip(futures, results):
-                if not future.done():
-                    future.set_result(result)
+                    shards, bins = outcome
+                    response = ok_response(
+                        rid, shards=shards.tolist(), bins=bins.tolist()
+                    )
+                elif kind == "remove":
+                    self.removes += 1
+                    shard, bin_index = outcome
+                    response = ok_response(rid, shard=shard, bin=bin_index)
+                else:
+                    response = ok_response(
+                        rid, path=payload, shards=len(outcome["shards"])
+                    )
+                responses = [response]
+            for (connection, _), response in zip(tags, responses):
+                answers = owed.get(connection)
+                if answers is None:
+                    answers = owed[connection] = []
+                answers.append(encode(response))
+        for connection, answers in owed.items():
+            connection.send(answers)
 
     # ------------------------------------------------------------------
     # Connections
@@ -324,109 +394,76 @@ class AllocationServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        write_lock = asyncio.Lock()
-        # Only in-flight requests: a finished task drops out of the set.
-        tasks: Set[asyncio.Task] = set()
+        connection = _Connection(reader, writer)
         if not self._stopping:
-            self._connections[reader] = asyncio.current_task()
+            self._connections[connection] = asyncio.current_task()
+        transport = writer.transport
+        queue = self._queue
         try:
             while not self._stopping:
+                # Backpressure: a client that does not read its answers
+                # stalls here, on its own connection; the batch loop never
+                # waits for a socket.
+                if transport.get_write_buffer_size():
+                    await writer.drain()
                 line = await reader.readline()
                 if not line:
                     break
                 if not line.strip():
                     continue
-                # One task per request: responses go out as they resolve
-                # (matched by id), so a pipelining client keeps the batch
-                # window full instead of ping-ponging per request.
-                task = asyncio.create_task(
-                    self._serve_request(line, writer, write_lock)
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-                del task  # the set alone keeps it, and only while in flight
+                self.requests += 1
+                try:
+                    request = decode_request(line)
+                except ProtocolError as exc:
+                    self.protocol_errors += 1
+                    writer.write(encode(error_response(None, str(exc))))
+                    continue
+                op = request["op"]
+                request_id = request.get("id")
+                queued = _WINDOW_OPS.get(op)
+                if queued is not None:
+                    kind, field_name = queued
+                    queue.put_nowait(
+                        (kind, request.get(field_name), (connection, request_id))
+                    )
+                    connection.pending += 1
+                elif op == "stats":
+                    summary = asyncio.get_running_loop().run_in_executor(
+                        self._pool_executor, self.pool.summary
+                    )
+                    summary.add_done_callback(
+                        functools.partial(self._answer_stats, connection, request_id)
+                    )
+                    connection.pending += 1
+                elif op == "ping":
+                    writer.write(encode(ok_response(request_id, op="ping")))
+                else:  # shutdown: answer first, then tear down
+                    writer.write(encode(ok_response(request_id, op="shutdown")))
+                    self._shutdown = asyncio.create_task(self.stop())
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
+            if connection.pending:
+                connection.idle = asyncio.get_running_loop().create_future()
+                await connection.idle
             writer.close()
             try:
                 await writer.wait_closed()
             except ConnectionError:  # pragma: no cover
                 pass
-            self._connections.pop(reader, None)
+            self._connections.pop(connection, None)
 
-    async def _serve_request(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
+    def _answer_stats(
+        self, connection: _Connection, request_id: Any, summary: "asyncio.Future"
     ) -> None:
-        self.requests += 1
-        request_id: Any = None
+        """Event-loop thread: answer a ``stats`` op once the pool summary is in."""
         try:
-            request = decode_request(line)
-            request_id = request.get("id")
-            response = await self._dispatch(request)
-        except ProtocolError as exc:
-            self.protocol_errors += 1
-            response = error_response(request_id, str(exc))
+            response = ok_response(
+                request_id, pool=summary.result(), server=self.server_stats()
+            )
         except (ShardPoolError, ValueError) as exc:
             response = error_response(request_id, str(exc))
-        async with write_lock:
-            writer.write(encode(response))
-            try:
-                await writer.drain()
-            except ConnectionError:
-                pass
-
-    async def _dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        op = request["op"]
-        request_id = request.get("id")
-        loop = asyncio.get_running_loop()
-        if op == "ping":
-            return ok_response(request_id, op="ping")
-        if op == "place":
-            future: "asyncio.Future" = loop.create_future()
-            self._queue.put_nowait(("place", request.get("item"), future))
-            shard, bin_index = await future
-            return ok_response(request_id, shard=shard, bin=bin_index)
-        if op == "place_batch":
-            future = loop.create_future()
-            self._queue.put_nowait(("batch", request["count"], future))
-            shards, bins = await future
-            return ok_response(
-                request_id,
-                shards=[int(s) for s in shards],
-                bins=[int(b) for b in bins],
-            )
-        if op == "remove":
-            future = loop.create_future()
-            self._queue.put_nowait(("remove", request["item"], future))
-            shard, bin_index = await future
-            self.removes += 1
-            return ok_response(request_id, shard=shard, bin=bin_index)
-        if op == "stats":
-            pool_summary = await self._pool_call(self.pool.summary)
-            return ok_response(
-                request_id, server=self.server_stats(), pool=pool_summary
-            )
-        if op == "snapshot":
-            future = loop.create_future()
-            self._queue.put_nowait(("snapshot", request["path"], future))
-            manifest = await future
-            return ok_response(
-                request_id,
-                path=request["path"],
-                shards=len(manifest["shards"]),
-            )
-        if op == "shutdown":
-            # Respond first, then tear down (the response must get out
-            # before the connection dies with the server).
-            asyncio.create_task(self.stop())
-            return ok_response(request_id, op="shutdown")
-        raise ProtocolError(f"unknown op {op!r}")  # pragma: no cover
+        connection.send([encode(response)])
 
     def server_stats(self) -> Dict[str, Any]:
         """Frontend counters (window and batch sizes, error counts) and the

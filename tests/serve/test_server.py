@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import gc
 import json
 import logging
 import os
@@ -33,16 +32,22 @@ SPEC = SchemeSpec(
     params={"n_bins": 128, "k": 2, "d": 4, "n_balls": 20000},
     seed=11,
 )
+#: The same process with room for a few million places.
+BIG_SPEC = SchemeSpec(
+    scheme="kd_choice",
+    params={"n_bins": 128, "k": 2, "d": 4, "n_balls": 4_000_000},
+    seed=11,
+)
 
 
 def run(coroutine):
     return asyncio.run(coroutine)
 
 
-async def with_server(body, config=None):
+async def with_server(body, config=None, spec=SPEC):
     """Start a thread-mode server, run ``body(server)``, always stop."""
     server = AllocationServer(
-        SPEC, config or ServeConfig(n_shards=2, mode="thread")
+        spec, config or ServeConfig(n_shards=2, mode="thread")
     )
     await server.start()
     try:
@@ -270,28 +275,135 @@ class TestServer:
         with ShardPool.load(path) as restored:
             assert restored.placed == 30
 
-    def test_finished_request_tasks_are_released(self):
-        # A long-lived pipelining connection must not keep one finished
-        # Task per request alive until it closes.
+    def test_pipelined_requests_make_no_tasks(self):
+        # No task per request: a connection with 500 places in flight runs
+        # on as many tasks as an idle one, and every answer arrives.
         async def body(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            try:
+                writer.write(protocol.encode({"id": -1, "op": "ping"}))
+                assert json.loads(await reader.readline())["ok"]
+                idle = len(asyncio.all_tasks())
+                gate = threading.Event()
+                server._pool_executor.submit(gate.wait)  # the places pile up
+                try:
+                    writer.write(b"".join(
+                        protocol.encode({"id": i, "op": "place"})
+                        for i in range(500)
+                    ))
+                    await until(lambda: server.requests == 501)
+                    peak = len(asyncio.all_tasks())
+                finally:
+                    gate.set()
+                answers = []
+                for _ in range(500):
+                    answers.append(json.loads(await reader.readline()))
+                    peak = max(peak, len(asyncio.all_tasks()))
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return idle, peak, answers
+
+        idle, peak, answers = run(with_server(body))
+        assert peak == idle
+        assert sorted(answer["id"] for answer in answers) == list(range(500))
+        assert all(answer["ok"] for answer in answers)
+
+    def test_connection_closed_mid_window_is_dropped_cleanly(self, caplog):
+        async def body(server):
+            gate = threading.Event()
+            server._pool_executor.submit(gate.wait)  # hold the window open
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(b"".join(
+                    protocol.encode({"id": i, "op": "place", "item": f"o{i}"})
+                    for i in range(100)
+                ))
+                await until(lambda: server.requests == 100)
+                writer.close()  # before reading a single answer
+                await writer.wait_closed()
+            finally:
+                gate.set()
+            await until(lambda: not server._connections)
+            # The pool committed the orphaned places.
+            assert server.places == 100
             client = await ServeClient.connect("127.0.0.1", server.port)
             try:
-                await asyncio.gather(*(client.place() for _ in range(500)))
-                await asyncio.sleep(0.05)  # let the last requests finish
-                gc.collect()
-                finished = [
-                    task
-                    for task in gc.get_objects()
-                    if isinstance(task, asyncio.Task)
-                    and task.done()
-                    and task.get_coro().__qualname__
-                    == "AllocationServer._serve_request"
-                ]
-                assert finished == []
+                assert await client.ping()
+                shard, bin_index = await client.place("after")
+                assert await client.remove("o7") is not None
+                stats = await client.stats()
             finally:
                 await client.close()
+            await server._pool_call(server.pool.check_invariants)
+            return stats
 
-        run(with_server(body))
+        with caplog.at_level(logging.ERROR):
+            stats = run(with_server(body))
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == []
+        assert stats["server"]["places"] == 101
+        assert stats["pool"]["placed"] == 101
+
+    def test_a_client_that_does_not_read_stalls_only_its_own_connection(self):
+        count, requests = 4000, 1000
+        # A place_batch answer carries count (shard, bin) pairs: at most
+        # "1," and "127," each with 128 bins per shard.
+        answer_bytes = 6 * count + 100
+
+        async def body(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            try:
+                await until(lambda: len(server._connections) == 1)
+                (stalled,) = server._connections
+                _, high = stalled.transport.get_write_buffer_limits()
+                lines = [
+                    protocol.encode({"id": i, "op": "place_batch", "count": count})
+                    for i in range(requests)
+                ]
+                # Send each request once the previous one is answered, until
+                # the server's buffer for this connection passes its
+                # high-water mark; then send all the rest at once.
+                sent = 0
+                while sent < requests:
+                    writer.write(lines[sent])
+                    sent += 1
+                    await until(lambda: server.places == sent * count)
+                    if stalled.transport.get_write_buffer_size() > high:
+                        break
+                writer.write(b"".join(lines[sent:]))
+                await asyncio.sleep(0.2)
+                read = server.requests
+                buffered = stalled.transport.get_write_buffer_size()
+                # Another connection is served meanwhile.
+                client = await ServeClient.connect("127.0.0.1", server.port)
+                try:
+                    assert await client.ping()
+                    await client.place_batch(3)
+                finally:
+                    await client.close()
+                await asyncio.sleep(0.1)
+                assert server.requests == read + 2
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            await until(lambda: not server._connections)
+            return sent, read, high, buffered
+
+        sent, read, high, buffered = run(with_server(body, spec=BIG_SPEC))
+        # The reader was already waiting for the next line when the buffer
+        # passed the mark, so it reads that one line and then stops, long
+        # before the client runs out of requests ...
+        assert read == sent + 1 < requests
+        # ... so what waits in the buffer is bounded by the high-water mark
+        # plus those two answers, not by the number of requests.
+        assert high < buffered <= high + 2 * answer_bytes
 
     def test_stop_with_client_connected_closes_it_cleanly(self, caplog):
         async def body():
