@@ -12,10 +12,10 @@ scheme with an online stepper, three throughputs on the same workload size
 * ``place_batch`` — chunked streaming ingestion through the batch kernels.
 
 ``core`` (``BENCH_CORE.json``) measures, for every compiled-covered anchor
-scheme, one ``simulate()`` per engine tier — ``scalar`` (reduced count,
-normalized), ``vectorized`` and ``compiled`` (skipped with a recorded
-reason when the C backend cannot build) — plus the tier-over-tier speedup
-ratios CI floors ride on.
+scheme, the median of ``TIER_REPEATS`` ``simulate()`` runs per engine tier
+— ``scalar`` (reduced count, normalized), ``vectorized`` and ``compiled``
+(skipped with a recorded reason when the C backend cannot build) — plus
+the tier-over-tier speedup ratios CI floors ride on.
 
 Both write ``scheme -> items/sec`` lines into the ``series`` section of
 the shared version-2 envelope (see :mod:`bench_envelope`) that CI uploads
@@ -34,10 +34,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -128,36 +129,48 @@ def _measure_scheme(scheme: str, items: int) -> Dict[str, Any]:
     }
 
 
+#: Timed ``simulate()`` runs per engine tier in the ``core`` artifact.  The
+#: median is kept, so one run taken during a stall on a shared host does not
+#: decide the compiled floor.
+TIER_REPEATS = 3
+
+
+def _median_rate(scheme: str, items: int, engine: str) -> Tuple[int, Any]:
+    """Median items/sec of ``TIER_REPEATS`` runs of one tier, and a result."""
+    spec = _spec(scheme, items, engine)
+    seconds = []
+    for _ in range(TIER_REPEATS):
+        start = time.perf_counter()
+        result = simulate(spec)
+        seconds.append(time.perf_counter() - start)
+    return int(items / statistics.median(seconds)), result
+
+
 def _measure_core_scheme(
     scheme: str, items: int, compiled_available: bool
 ) -> Dict[str, Any]:
-    """One ``simulate()`` per engine tier, loads cross-checked per tier."""
+    """The median rate of each engine tier, loads cross-checked per tier."""
     line: Dict[str, Any] = {"items": items}
 
     # Scalar reference (reduced count, normalized to items/sec).
     scalar_items = min(items, SCALAR_STREAM_CAP)
-    start = time.perf_counter()
-    simulate(_spec(scheme, scalar_items, "scalar"))
-    scalar_seconds = time.perf_counter() - start
-    line["scalar_items_per_sec"] = int(scalar_items / scalar_seconds)
+    line["scalar_items_per_sec"], _ = _median_rate(scheme, scalar_items, "scalar")
 
-    start = time.perf_counter()
-    vectorized = simulate(_spec(scheme, items, "vectorized"))
-    vectorized_seconds = time.perf_counter() - start
-    line["vectorized_items_per_sec"] = int(items / vectorized_seconds)
+    line["vectorized_items_per_sec"], vectorized = _median_rate(
+        scheme, items, "vectorized"
+    )
     line["vectorized_vs_scalar"] = round(
         line["vectorized_items_per_sec"] / line["scalar_items_per_sec"], 2
     )
 
     if compiled_available:
-        start = time.perf_counter()
-        compiled = simulate(_spec(scheme, items, "compiled"))
-        compiled_seconds = time.perf_counter() - start
+        line["compiled_items_per_sec"], compiled = _median_rate(
+            scheme, items, "compiled"
+        )
         if not np.array_equal(compiled.loads, vectorized.loads):
             raise AssertionError(
                 f"{scheme}: compiled loads diverged from the vectorized engine"
             )
-        line["compiled_items_per_sec"] = int(items / compiled_seconds)
         line["compiled_vs_vectorized"] = round(
             line["compiled_items_per_sec"] / line["vectorized_items_per_sec"], 2
         )

@@ -4,7 +4,7 @@
 without waiting for earlier responses, a reader task matches responses back
 to callers by ``id`` — which is what keeps the server's serve windows full.
 :class:`BlockingServeClient` wraps it for synchronous callers (tests, small
-scripts): it runs a private event loop on a background thread and exposes
+scripts): it runs a private event loop on the calling thread and exposes
 the same methods as plain blocking calls.
 
 The zero-transport alternative is the pool itself:
@@ -15,7 +15,6 @@ The zero-transport alternative is the pool itself:
 from __future__ import annotations
 
 import asyncio
-import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from .protocol import encode
@@ -150,28 +149,26 @@ class ServeClient:
 
 
 class BlockingServeClient:
-    """Synchronous facade: one private event loop on a background thread.
+    """Synchronous facade: one private event loop, run on the calling thread.
 
-    Every method blocks until its response arrives.  Intended for tests and
-    small scripts; throughput-sensitive callers should use
-    :class:`ServeClient` (or many of them) inside their own event loop.
+    Every method runs the loop until its response arrives, for at most
+    ``timeout`` seconds, so it must be called from a thread with no running
+    event loop.  Intended for tests and small scripts; throughput-sensitive
+    callers should use :class:`ServeClient` (or many of them) inside their
+    own event loop.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
         self._timeout = timeout
         self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, daemon=True,
-            name="repro-serve-client",
-        )
-        self._thread.start()
         self._client: ServeClient = self._call(
             ServeClient.connect(host, port)
         )
 
     def _call(self, coroutine: Any) -> Any:
-        future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-        return future.result(timeout=self._timeout)
+        return self._loop.run_until_complete(
+            asyncio.wait_for(coroutine, self._timeout)
+        )
 
     def ping(self) -> bool:
         return self._call(self._client.ping())
@@ -201,8 +198,6 @@ class BlockingServeClient:
             self._call(self._client.close())
         except Exception:
             pass
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5)
         self._loop.close()
 
     def __enter__(self) -> "BlockingServeClient":

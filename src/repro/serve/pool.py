@@ -1,12 +1,12 @@
-"""The shard pool: N :class:`OnlineAllocator` workers behind one router.
+"""The shard pool: N :class:`OnlineAllocator` shards behind one router.
 
 A :class:`ShardPool` runs N independent shards: each is a full
 :class:`~repro.online.allocator.OnlineAllocator` (its own bins, its own RNG
 stream, its own telemetry) hosted either in a worker *process*
 (``mode="process"``: each shard has its own interpreter and memory, and a
-shard that crashes or is killed leaves the server process standing) or on a
-worker *thread* (``mode="thread"``: the shards live in the caller's process
-behind in-process queues, with no pickling and no child processes).  A
+shard that crashes or is killed leaves the server process standing) or in
+the caller's own process (``mode="thread"``: each shard runs on the calling
+thread, with no worker, no pickling and no child processes).  A
 pluggable :class:`~repro.serve.router.Router` decides which shard serves
 each request; the routing question is itself a (k, d)-choice instance, so
 the default policy is the paper's own ``two_choice`` applied to the shard
@@ -26,14 +26,16 @@ Determinism contract
 
 Transport
 ---------
-Both modes run one command loop, :func:`_shard_main`, behind one
-:class:`_Shard`: on a process it speaks over a ``multiprocessing`` pipe, on
-a thread over a pair of in-process queues with the same ``send``/``recv``.
-Every command reaches the shards through :meth:`ShardPool._exchange`, which
-sends to every addressed shard, then reads back every shard it reached
-before raising the first failure, so a dead or rejecting shard never leaves
+Both modes answer every command with the same code, :func:`_reply`, behind
+one :class:`_Shard`: a process shard runs it in :func:`_shard_main` over a
+``multiprocessing`` pipe, a thread-mode shard runs it inline when the
+command is submitted and keeps the reply until it is read.  Every command
+reaches the shards through :meth:`ShardPool._exchange`, which sends to
+every addressed shard, then reads back every shard it reached before
+raising the first failure, so a dead or rejecting shard never leaves
 another shard's reply unread.  Failures read the same in both modes:
-"shard N failed to start", "shard N died", "shard N: <error>".
+"shard N failed to start", "shard N: <error>"; a process shard can also
+read "shard N died".
 
 Outboxes and windows
 --------------------
@@ -42,7 +44,7 @@ Each shard has an ordered *outbox* of ``("remove", item)`` and
 the pool's ``(shard, bin)`` map and only queues the id;
 :meth:`ShardPool.place_batch` routes against the pool's own shard counts,
 credits them and queues one sub-batch per shard.  Every shard command is an
-*envelope*: that shard's outbox, then the command.  The worker applies the
+*envelope*: that shard's outbox, then the command.  The shard applies the
 outbox in order and replies with the bins of each queued place next to the
 command's reply, so a shard sees the same op sequence as with one message
 per op.  Outside a :meth:`ShardPool.window` a ``place_batch`` exchanges at
@@ -64,8 +66,6 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
-import queue
-import threading
 from itertools import repeat
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -104,10 +104,10 @@ class ShardPoolError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# The per-shard worker (one allocator, one command loop)
+# The per-shard server (one allocator) and its hosts
 # ----------------------------------------------------------------------
 class _ShardServer:
-    """Executes pool commands against one allocator (runs inside a worker)."""
+    """Executes pool commands against one allocator (in a worker or inline)."""
 
     def __init__(
         self,
@@ -168,79 +168,77 @@ class _ShardServer:
         raise ShardPoolError(f"unknown shard op {op!r}")
 
 
+def _failed(exc: Exception) -> Tuple[str, str]:
+    return ("error", f"{type(exc).__name__}: {exc}")
+
+
+def _open(
+    payload: Dict[str, Any]
+) -> Tuple[Optional[_ShardServer], Tuple[str, Any]]:
+    """Build a shard's server; its start reply is ``ready`` or ``error``."""
+    try:
+        return _ShardServer(**payload), ("ready", None)
+    except Exception as exc:  # construction errors surface in the pool
+        return None, _failed(exc)
+
+
+def _reply(server: _ShardServer, message: Tuple[Any, ...]) -> Tuple[str, Any]:
+    """A shard's reply to one envelope: ``ok`` and the result, or ``error``."""
+    try:
+        return ("ok", server.handle(message))
+    except Exception as exc:
+        return _failed(exc)
+
+
 def _shard_main(conn: Any, payload: Dict[str, Any]) -> None:
-    """A shard worker's command loop, the same on a process and a thread.
+    """A process shard's command loop.
 
     Builds the allocator and answers ``ready`` (or ``error``), then replies
-    to each envelope with ``ok`` or ``error`` until ``stop``.
+    to each envelope until ``stop``.
     """
-    try:
-        server = _ShardServer(**payload)
-    except Exception as exc:  # construction errors surface in the parent
-        conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        conn.close()
-        return
-    conn.send(("ready", None))
-    while True:
+    server, started = _open(payload)
+    conn.send(started)
+    while server is not None:
         try:
             message = conn.recv()
         except EOFError:
             break
         try:
-            conn.send(("ok", server.handle(message)))
-        except Exception as exc:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            conn.send(_reply(server, message))
+        except Exception as exc:  # a reply that cannot be pickled
+            conn.send(_failed(exc))
         if message[0] == "stop":
             break
     conn.close()
 
 
-class _QueueEnd:
-    """One end of an in-process duplex channel with a pipe end's surface."""
-
-    def __init__(
-        self, inbox: "queue.SimpleQueue[Any]", outbox: "queue.SimpleQueue[Any]"
-    ) -> None:
-        self.recv = inbox.get
-        self.send = outbox.put
-
-    def close(self) -> None:
-        pass
-
-
-def _queue_pipe() -> Tuple[_QueueEnd, _QueueEnd]:
-    """The thread host's ``Pipe()``: two queues, no pickling."""
-    a: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
-    b: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
-    return _QueueEnd(a, b), _QueueEnd(b, a)
-
-
 class _Shard:
-    """One shard: :func:`_shard_main` hosted on a process or a thread.
+    """One shard: :func:`_shard_main` on a process, or a server run inline.
 
     ``mode="process"`` runs the loop in its own OS process over a
-    ``multiprocessing`` pipe; ``mode="thread"`` runs it on a thread over a
-    queue pair.  ``submit``/``result`` are split so the pool can send one
-    command to every shard before it reads any reply.
+    ``multiprocessing`` pipe; ``mode="thread"`` keeps the
+    :class:`_ShardServer` in the caller's process, and ``submit`` runs the
+    command on the calling thread and keeps its reply for ``result``.
+    ``submit``/``result`` are split so the pool can send one command to
+    every shard before it reads any reply.
     """
 
     def __init__(self, index: int, payload: Dict[str, Any], mode: str) -> None:
         self.index = index
+        self.worker: Any = None  # the process, or None for an inline shard
         if mode == "process":
             context = multiprocessing.get_context()
             self._conn, child_conn = context.Pipe()
-            host: Any = context.Process
+            self.worker = context.Process(
+                target=_shard_main,
+                args=(child_conn, payload),
+                daemon=True,
+                name=f"repro-serve-shard-{index}",
+            )
+            self.worker.start()
+            child_conn.close()
         else:
-            self._conn, child_conn = _queue_pipe()
-            host = threading.Thread
-        self.worker = host(
-            target=_shard_main,
-            args=(child_conn, payload),
-            daemon=True,
-            name=f"repro-serve-shard-{index}",
-        )
-        self.worker.start()
-        child_conn.close()
+            self._server, self._answer = _open(payload)
         status, value = self._receive()
         if status != "ready":
             self.join()
@@ -250,12 +248,17 @@ class _Shard:
         return ShardPoolError(f"shard {self.index} died (worker exited)")
 
     def submit(self, message: Tuple[Any, ...]) -> None:
+        if self.worker is None:
+            self._answer = _reply(self._server, message)
+            return
         try:
             self._conn.send(message)
         except OSError:
             raise self._died() from None
 
     def _receive(self) -> Tuple[str, Any]:
+        if self.worker is None:
+            return self._answer
         try:
             return self._conn.recv()
         except (EOFError, OSError):
@@ -268,11 +271,13 @@ class _Shard:
         return value
 
     def join(self) -> None:
-        """Wait for the worker to exit (after ``stop``) and drop the channel."""
+        """Release the shard: wait for its process to exit (after ``stop``)."""
+        if self.worker is None:
+            self._server = None
+            return
         self.worker.join(timeout=5)
-        terminate = getattr(self.worker, "terminate", None)  # processes only
-        if self.worker.is_alive() and terminate:  # pragma: no cover - defensive
-            terminate()
+        if self.worker.is_alive():  # pragma: no cover - defensive
+            self.worker.terminate()
             self.worker.join(timeout=5)
         self._conn.close()
 
@@ -328,16 +333,17 @@ class ShardPool:
         back to ``n_bins``) fixes the pool's total planned capacity; the
         spec's seed is the root of the per-shard seed fan-out.
     n_shards:
-        Number of allocator workers.
+        Number of allocator shards.
     policy:
         A registered router policy name (``round_robin``, ``least_loaded``,
         ``two_choice``) or a pre-built :class:`Router` instance.
     mode:
         ``"process"`` (one OS process per shard: a shard that dies leaves
-        the caller standing) or ``"thread"`` (one thread per shard in the
-        caller's process, over in-process queues: no pickling, no child
-        processes).  Both run the same shard loop; only the host and the
-        channel differ.
+        the caller standing, and the shards of one exchange compute side
+        by side) or ``"thread"`` (the shards live in the caller's process
+        and run on the calling thread: no worker, no pickling, no child
+        processes).  Both answer a command with the same code; only the
+        host differs.
     policy_params:
         Extra keyword parameters of the policy factory (e.g. ``{"d": 4}``).
     """
@@ -383,9 +389,9 @@ class ShardPool:
         self.removed = 0
 
     def _start_shards(self, payloads: List[Dict[str, Any]]) -> None:
-        """Start one worker per payload; on a failure stop those started.
+        """Start one shard per payload; on a failure stop those started.
 
-        The engine is resolved once here, before any worker exists: a
+        The engine is resolved once here, before any shard starts: a
         forced engine that cannot run fails without a fork, and a compiled
         backend loaded here is inherited by forked shards instead of each
         loading it in turn.
@@ -743,7 +749,7 @@ class ShardPool:
     ) -> "ShardPool":
         """Rebuild a pool from a :meth:`snapshot` manifest.
 
-        Every shard digest is verified before any worker starts; the router
+        Every shard digest is verified before any shard starts; the router
         resumes its exact decision stream; the restored pool continues
         bit-identically to the one that was captured.  ``mode`` optionally
         overrides the captured execution mode (the shard state machine is
@@ -827,7 +833,7 @@ class ShardPool:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop every shard worker (idempotent)."""
+        """Stop every shard (idempotent)."""
         if self._closed:
             return
         self._closed = True

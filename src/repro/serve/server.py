@@ -4,8 +4,8 @@
 serves the :mod:`~repro.serve.protocol` over TCP.  Every mutating request
 (place, place_batch, remove, snapshot) — from any number of connections —
 joins one queue in arrival order.  The batcher takes everything queued
-(up to ``max_batch`` ops) as one *window* and runs it on the pool thread in
-a single executor job, inside one :meth:`ShardPool.window`: each run of
+(up to ``max_batch`` ops) as one *window* and runs it on the event loop,
+inside one :meth:`ShardPool.window`: each run of
 ``place`` requests becomes one :meth:`ShardPool.place_batch` call, riding
 the allocator's batched ingestion path, and removes, batches and snapshots
 run in their arrival positions.  Neither a place nor a remove messages a
@@ -14,9 +14,9 @@ removes from its ``(shard, bin)`` map, and queues both in each shard's
 ordered outbox; when the window ends, each busy shard gets one envelope
 and the places' bins are filled in.  A failed exchange anywhere in the
 window fails every place of that window; removes keep their answers.  The
-window is self-clocked: while the pool thread works, the next window
-collects, so there is no timer — a lone request is served at once and load
-grows the windows by itself.
+window is self-clocked: the lines that arrive while a window runs are read
+before the next one is taken, so there is no timer — a lone request is
+served at once and load grows the windows by itself.
 
 Ordering semantics: the pool sees every mutating operation in arrival
 order, so a ``remove`` acts after the places queued before it and a
@@ -25,24 +25,25 @@ written manifest is a consistent cut.  Responses may return out of order
 (clients match them by ``id``).
 
 The connection layer makes no task, future or lock per request.  Each
-connection's reader decodes its lines and answers ``ping``, ``shutdown``
-and malformed lines at once; ``stats`` is answered when the pool thread
-returns its summary; every mutating request goes on the window queue
-tagged with its connection.  When a window resolves, its answers are
-grouped by connection and each connection gets one write.  Backpressure
-is per connection, at its reader: before it reads the next line, a reader
-whose write buffer is not empty awaits ``drain()``, so a client that stops
-reading stalls only its own connection and never the batch loop.
+connection's reader decodes its lines and answers ``ping``, ``stats``,
+``shutdown`` and malformed lines at once; every mutating request goes on
+the window queue tagged with its connection.  When a window resolves, its
+answers are grouped by connection and each connection gets one write.
+Backpressure is per connection, at its reader: before it reads the next
+line, a reader whose write buffer is not empty awaits ``drain()``, so a
+client that stops reading stalls only its own connection and never the
+batch loop.  :meth:`AllocationServer.stop` gives such a connection
+:data:`STOP_GRACE_S` seconds, then aborts it.
 
-All pool work runs on a dedicated single-thread executor: the event loop
-never blocks on shard IPC, and pool state is touched by exactly one thread.
+Everything runs on the event loop's thread: the pool is built, serves its
+windows and is saved and closed there, so pool state is touched by exactly
+one thread.  Process shards still compute side by side: a window's closing
+exchange sends to every busy shard before it reads any reply.
 """
 
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
-import functools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -57,6 +58,11 @@ from .protocol import (
 )
 
 __all__ = ["ServeConfig", "AllocationServer"]
+
+#: Seconds :meth:`AllocationServer.stop` lets its connections finish after
+#: it wakes their readers; a connection still blocked then, on a client that
+#: does not read its answers, is aborted.
+STOP_GRACE_S = 1.0
 
 
 @dataclass
@@ -104,7 +110,7 @@ class _Connection:
         self.reader = reader
         self.writer = writer
         self.transport = writer.transport
-        self.pending = 0  # queued requests and stats ops not yet answered
+        self.pending = 0  # queued requests not yet answered
         # Set when ``pending`` reaches zero after the reader has ended.
         self.idle: "Optional[asyncio.Future[None]]" = None
 
@@ -118,9 +124,11 @@ class _Connection:
 
 
 class AllocationServer:
-    """One shard pool behind a windowed TCP frontend.
+    """One shard pool behind a windowed TCP frontend, on one event loop.
 
-    Build it with a spec (the pool is created on :meth:`start`) or hand it a
+    The connections, the windows and the pool's shard exchanges all run on
+    the loop that awaits :meth:`start`; no thread is started.  Build it
+    with a spec (the pool is created on :meth:`start`) or hand it a
     pre-built pool.  Typical lifecycle::
 
         server = AllocationServer(spec, ServeConfig(n_shards=4))
@@ -148,9 +156,6 @@ class AllocationServer:
         # loop exists.
         self._queue: "Optional[asyncio.Queue[Any]]" = None
         self._batcher: Optional[asyncio.Task] = None
-        self._pool_executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-pool"
-        )
         self._stopped: Optional[asyncio.Event] = None
         self._stopping = False
         self._shutdown: Optional[asyncio.Task] = None  # stop() run by the op
@@ -161,11 +166,12 @@ class AllocationServer:
         self.places = 0
         self.removes = 0
         self.protocol_errors = 0
-        self.windows = 0  # pool jobs, one per window
+        self.windows = 0
         self.window_ops = 0
         self.batches = 0  # place_batch calls made for place requests
         self.batched_places = 0
         self.largest_batch = 0
+        self.aborted_connections = 0  # still blocked when stop()'s grace ended
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -178,20 +184,16 @@ class AllocationServer:
         return self._port
 
     async def start(self) -> None:
-        loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue()
         self._stopped = asyncio.Event()
         if self.pool is None:
             config = self.config
-            self.pool = await loop.run_in_executor(
-                self._pool_executor,
-                lambda: ShardPool(
-                    self.spec,
-                    config.n_shards,
-                    policy=config.policy,
-                    mode=config.mode,
-                    policy_params=config.policy_params,
-                ),
+            self.pool = ShardPool(
+                self.spec,
+                config.n_shards,
+                policy=config.policy,
+                mode=config.mode,
+                policy_params=config.policy_params,
             )
         self._batcher = asyncio.create_task(self._batch_loop())
         self._server = await asyncio.start_server(
@@ -211,26 +213,28 @@ class AllocationServer:
             self._server.close()
             # Wake every handler blocked on its next request line; each
             # finishes its in-flight requests and closes its connection.
-            handlers = list(self._connections.values())
+            # One parked in drain() by a client that does not read is not
+            # woken, so it is aborted once the grace period ends.
             for connection in self._connections:
                 connection.reader.set_exception(
                     ConnectionAbortedError("the server is stopping")
                 )
-            await asyncio.gather(*handlers, return_exceptions=True)
+            handlers = list(self._connections.values())
+            if handlers:
+                _, blocked = await asyncio.wait(handlers, timeout=STOP_GRACE_S)
+                for connection, handler in self._connections.items():
+                    if handler in blocked:
+                        self.aborted_connections += 1
+                        connection.transport.abort()
+                await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
         if self._batcher is not None:
             await self._queue.put(_STOP)
             await self._batcher
         if self.pool is not None:
-            loop = asyncio.get_running_loop()
             if self.config.snapshot_on_exit:
-                await loop.run_in_executor(
-                    self._pool_executor,
-                    self.pool.save,
-                    self.config.snapshot_on_exit,
-                )
-            await loop.run_in_executor(self._pool_executor, self.pool.close)
-        self._pool_executor.shutdown(wait=True)
+                self.pool.save(self.config.snapshot_on_exit)
+            self.pool.close()
         self._stopped.set()
 
     async def serve_forever(self) -> None:
@@ -242,19 +246,13 @@ class AllocationServer:
     # ------------------------------------------------------------------
     # The serve window
     # ------------------------------------------------------------------
-    async def _pool_call(self, fn: Any, *args: Any) -> Any:
-        return await asyncio.get_running_loop().run_in_executor(
-            self._pool_executor, fn, *args
-        )
-
     async def _batch_loop(self) -> None:
         """Take every queued entry as one window; run it in arrival order.
 
-        The window is self-clocked: whatever queued while the pool thread
-        ran the previous window is the next one (up to ``max_batch`` ops),
-        so there is no timer and no op closes a window early.
+        The window is self-clocked: whatever queued while the previous
+        window ran is the next one (up to ``max_batch`` ops), so there is
+        no timer and no op closes a window early.
         """
-        loop = asyncio.get_running_loop()
         queue = self._queue
         max_batch = self.config.max_batch
         stopping = False
@@ -270,10 +268,7 @@ class AllocationServer:
                     break
                 window.append(entry)
             steps = self._plan(window)
-            outcomes = await loop.run_in_executor(
-                self._pool_executor, self._run_window, steps
-            )
-            self._resolve(steps, outcomes)
+            self._resolve(steps, self._run_window(steps))
         # Refuse anything queued behind the stop sentinel.
         rest = []
         while not queue.empty():
@@ -310,7 +305,7 @@ class AllocationServer:
         return steps
 
     def _run_window(self, steps: List[tuple]) -> List[Any]:
-        """Pool thread: run each step in order; one result or error each.
+        """Run each step in order; one result or error each.
 
         The steps run inside one pool window, so the places reach their
         shards in one exchange when it ends; if any exchange of the window
@@ -428,13 +423,15 @@ class AllocationServer:
                     )
                     connection.pending += 1
                 elif op == "stats":
-                    summary = asyncio.get_running_loop().run_in_executor(
-                        self._pool_executor, self.pool.summary
-                    )
-                    summary.add_done_callback(
-                        functools.partial(self._answer_stats, connection, request_id)
-                    )
-                    connection.pending += 1
+                    try:
+                        response = ok_response(
+                            request_id,
+                            pool=self.pool.summary(),
+                            server=self.server_stats(),
+                        )
+                    except (ShardPoolError, ValueError) as exc:
+                        response = error_response(request_id, str(exc))
+                    writer.write(encode(response))
                 elif op == "ping":
                     writer.write(encode(ok_response(request_id, op="ping")))
                 else:  # shutdown: answer first, then tear down
@@ -453,21 +450,9 @@ class AllocationServer:
                 pass
             self._connections.pop(connection, None)
 
-    def _answer_stats(
-        self, connection: _Connection, request_id: Any, summary: "asyncio.Future"
-    ) -> None:
-        """Event-loop thread: answer a ``stats`` op once the pool summary is in."""
-        try:
-            response = ok_response(
-                request_id, pool=summary.result(), server=self.server_stats()
-            )
-        except (ShardPoolError, ValueError) as exc:
-            response = error_response(request_id, str(exc))
-        connection.send([encode(response)])
-
     def server_stats(self) -> Dict[str, Any]:
-        """Frontend counters (window and batch sizes, error counts) and the
-        pool's shard exchanges."""
+        """Frontend counters (window and batch sizes, error counts, aborted
+        connections) and the pool's shard exchanges."""
         mean_batch = (
             self.batched_places / self.batches if self.batches else 0.0
         )
@@ -484,5 +469,6 @@ class AllocationServer:
             "largest_batch": self.largest_batch,
             "mean_batch": mean_batch,
             "max_batch": self.config.max_batch,
+            "aborted_connections": self.aborted_connections,
             "pool_exchanges": self.pool.exchanges if self.pool is not None else 0,
         }

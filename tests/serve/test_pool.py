@@ -67,6 +67,14 @@ class TestShardIdentity:
             assert summary_b.pop("mode") == "process"
             assert summary_a == summary_b
 
+    def test_thread_mode_runs_its_shards_inline(self):
+        before = set(threading.enumerate())
+        with ShardPool(kd_spec(), 3, mode="thread") as pool:
+            pool.place_batch(30)
+            assert set(threading.enumerate()) == before
+            assert multiprocessing.active_children() == []
+            pool.check_invariants()
+
     def test_single_shard_pool_is_the_plain_allocator(self, mode):
         with ShardPool(kd_spec(), 1, mode=mode) as pool:
             _, bins = pool.place_batch(250)

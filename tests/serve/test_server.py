@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
 import json
 import logging
@@ -44,6 +45,11 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
+@pytest.fixture(params=["thread", "process"])
+def mode(request):
+    return request.param
+
+
 async def with_server(body, config=None, spec=SPEC):
     """Start a thread-mode server, run ``body(server)``, always stop."""
     server = AllocationServer(
@@ -63,28 +69,41 @@ async def until(predicate, timeout=10.0):
         await asyncio.sleep(0.001)
 
 
+@contextlib.contextmanager
+def held_requests(server):
+    """Hold the requests the server reads off its window queue.
+
+    On exit they are queued at once, in arrival order, so the batch loop
+    takes them as windows of up to ``max_batch`` requests.
+    """
+    queue = server._queue
+    held = []
+    queue.put_nowait = held.append  # shadows the method on this instance
+    try:
+        yield
+    finally:
+        del queue.put_nowait
+        for entry in held:
+            queue.put_nowait(entry)
+
+
 async def fire_in_order(server, calls):
     """Run ``calls`` (client coroutine factories) with a known arrival order.
 
-    The pool thread is held on a gate while the requests go out one at a
-    time, each reaching the server queue before the next is sent.  The
-    first request is taken as a window of its own; the rest wait in the
-    queue and are served, once the gate opens, as windows of up to
-    ``max_batch`` requests.  Returns each call's result or exception.
+    The requests go out one at a time, each read by the server before the
+    next is sent.  The first is served as a window of its own; the rest
+    are held off the window queue until all have arrived, then served as
+    windows of up to ``max_batch`` requests.  Returns each call's result
+    or exception.
     """
-    gate = threading.Event()
-    server._pool_executor.submit(gate.wait)
-    tasks = []
-    try:
-        for position, call in enumerate(calls):
+    windows = server.windows
+    tasks = [asyncio.ensure_future(calls[0]())]
+    await until(lambda: server.windows > windows)
+    with held_requests(server):
+        for call in calls[1:]:
             arrived = server.requests + 1
             tasks.append(asyncio.ensure_future(call()))
-            await until(
-                lambda: server.requests == arrived
-                and (position > 0 or server._queue.empty())
-            )
-    finally:
-        gate.set()
+            await until(lambda: server.requests == arrived)
     return await asyncio.gather(*tasks, return_exceptions=True)
 
 
@@ -286,17 +305,13 @@ class TestServer:
                 writer.write(protocol.encode({"id": -1, "op": "ping"}))
                 assert json.loads(await reader.readline())["ok"]
                 idle = len(asyncio.all_tasks())
-                gate = threading.Event()
-                server._pool_executor.submit(gate.wait)  # the places pile up
-                try:
+                with held_requests(server):  # the places pile up
                     writer.write(b"".join(
                         protocol.encode({"id": i, "op": "place"})
                         for i in range(500)
                     ))
                     await until(lambda: server.requests == 501)
                     peak = len(asyncio.all_tasks())
-                finally:
-                    gate.set()
                 answers = []
                 for _ in range(500):
                     answers.append(json.loads(await reader.readline()))
@@ -313,9 +328,7 @@ class TestServer:
 
     def test_connection_closed_mid_window_is_dropped_cleanly(self, caplog):
         async def body(server):
-            gate = threading.Event()
-            server._pool_executor.submit(gate.wait)  # hold the window open
-            try:
+            with held_requests(server):  # hold the window open
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port
                 )
@@ -326,8 +339,6 @@ class TestServer:
                 await until(lambda: server.requests == 100)
                 writer.close()  # before reading a single answer
                 await writer.wait_closed()
-            finally:
-                gate.set()
             await until(lambda: not server._connections)
             # The pool committed the orphaned places.
             assert server.places == 100
@@ -339,7 +350,7 @@ class TestServer:
                 stats = await client.stats()
             finally:
                 await client.close()
-            await server._pool_call(server.pool.check_invariants)
+            server.pool.check_invariants()
             return stats
 
         with caplog.at_level(logging.ERROR):
@@ -429,6 +440,68 @@ class TestServer:
         errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
         assert errors == []
 
+    def test_stop_aborts_a_client_that_does_not_read(self, mode):
+        from repro.serve.server import STOP_GRACE_S
+
+        def lines(first, n):
+            return b"".join(
+                protocol.encode({"id": i, "op": "place_batch", "count": 500})
+                for i in range(first, first + n)
+            )
+
+        async def body():
+            server = AllocationServer(
+                BIG_SPEC, ServeConfig(n_shards=2, mode=mode)
+            )
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            try:
+                await until(lambda: len(server._connections) == 1)
+                (stalled,) = server._connections
+                transport = stalled.transport
+                _, high = transport.get_write_buffer_limits()
+                # Never read: send until the answers back up past the
+                # high-water mark, then one line more, so a handler still
+                # waiting in readline() reads it and parks in drain().
+                sent = 0
+                while transport.get_write_buffer_size() <= high:
+                    writer.write(lines(sent, 100))
+                    sent += 100
+                    await until(
+                        lambda: server.requests == sent
+                        or transport.get_write_buffer_size() > high
+                    )
+                writer.write(lines(sent, 1))
+                await asyncio.sleep(0.2)
+                assert transport.get_write_buffer_size() > high
+                loop = asyncio.get_running_loop()
+                started = loop.time()
+                stopping = asyncio.ensure_future(server.stop())
+                await asyncio.wait({stopping}, timeout=STOP_GRACE_S + 10)
+                took = loop.time() - started
+            finally:
+                writer.close()  # a stop() still waiting ends with the client
+            stopped = stopping.done()
+            await stopping
+            return stopped, took, server.server_stats()
+
+        stopped, took, stats = run(body())
+        assert stopped, "stop() waited on a client that does not read"
+        assert STOP_GRACE_S <= took < STOP_GRACE_S + 10
+        assert stats["aborted_connections"] == 1
+
+    def test_start_makes_no_thread(self, mode):
+        async def body(server):
+            return [thread.name for thread in threading.enumerate()]
+
+        names = run(with_server(body, ServeConfig(n_shards=2, mode=mode)))
+        assert not [
+            name for name in names
+            if name.startswith(("repro-serve-pool", "repro-serve-shard-"))
+        ]
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="exactly one"):
             AllocationServer()
@@ -441,7 +514,7 @@ class TestServer:
 class TestServeWindows:
     """Self-clocked ordered windows: grouping never changes an answer."""
 
-    def test_mixed_stream_equals_one_by_one_pool(self, tmp_path):
+    def test_mixed_stream_equals_one_by_one_pool(self, tmp_path, mode):
         path = str(tmp_path / "mid.manifest.json")
         # (connection, op, argument); connections alternate, so the
         # server reads the stream from two pipelined sockets.
@@ -477,20 +550,20 @@ class TestServeWindows:
                     for conn, op, arg in stream
                 ])
                 stats = await clients[0].stats()
-                await server._pool_call(server.pool.check_invariants)
+                server.pool.check_invariants()
             finally:
                 for client in clients:
                     await client.close()
             return answers, stats
 
         answers, stats = run(with_server(body, ServeConfig(
-            n_shards=2, mode="thread", max_batch=8,
+            n_shards=2, mode=mode, max_batch=8,
         )))
         assert stats["server"]["windows"] == 4
         assert stats["server"]["mean_window"] == len(stream) / 4
         with open(path, encoding="utf-8") as handle:
             served_manifest = json.load(handle)
-        with ShardPool(SPEC, 2, mode="thread") as pool:
+        with ShardPool(SPEC, 2, mode=mode) as pool:
             for (_, op, arg), answer in zip(stream, answers):
                 if op == "place":
                     assert answer == pool.place(arg)
@@ -512,7 +585,7 @@ class TestServeWindows:
             assert stats["pool"] == json.loads(json.dumps(pool.summary()))
             pool.check_invariants()
 
-    def test_failed_op_fails_only_its_request(self):
+    def test_failed_op_fails_only_its_request(self, mode):
         async def body(server):
             client = await ServeClient.connect("127.0.0.1", server.port)
             try:
@@ -523,19 +596,21 @@ class TestServeWindows:
                     lambda: client.place(),
                     lambda: client.remove("x"),
                 ])
-                await server._pool_call(server.pool.check_invariants)
+                server.pool.check_invariants()
             finally:
                 await client.close()
             assert server.windows == 2  # everything after "x" shared one
             return answers
 
-        x, y, ghost, untracked, removed = run(with_server(body))
+        x, y, ghost, untracked, removed = run(
+            with_server(body, ServeConfig(n_shards=2, mode=mode))
+        )
         assert isinstance(ghost, ServeError) and "unknown item" in str(ghost)
         for answer in (x, y, untracked):
             assert isinstance(answer, tuple) and len(answer) == 2
         assert removed == x
 
-    def test_untracked_places_beside_a_tracked_one_stay_untracked(self):
+    def test_untracked_places_beside_a_tracked_one_stay_untracked(self, mode):
         async def body(server):
             client = await ServeClient.connect("127.0.0.1", server.port)
             try:
@@ -548,12 +623,14 @@ class TestServeWindows:
                 items = server.pool.items()
                 # No id is reserved: a client may use any string.
                 await client.place("__serve_auto_1")
-                await server._pool_call(server.pool.check_invariants)
+                server.pool.check_invariants()
             finally:
                 await client.close()
             return answers, items
 
-        answers, items = run(with_server(body))
+        answers, items = run(
+            with_server(body, ServeConfig(n_shards=2, mode=mode))
+        )
         assert items == {"a": answers[1][0]}
         assert not any(isinstance(answer, Exception) for answer in answers)
 
@@ -593,7 +670,7 @@ class TestWindowFailures:
                     match=rf"invariants violated: shard {x[0]} holds \d+ "
                     rf"items, the pool counts \d+",
                 ):
-                    await server._pool_call(pool.check_invariants)
+                    pool.check_invariants()
                 after = await client.place("v")  # the next window is served
             finally:
                 await client.close()
@@ -623,7 +700,7 @@ class TestWindowFailures:
                         victim.join(timeout=10)
                     return remove(item)
 
-                pool.remove = kill_then_remove  # mid-window, on the pool thread
+                pool.remove = kill_then_remove  # mid-window
                 answers = await fire_in_order(server, [
                     lambda: client.place("a"),  # a window of its own: shard 0
                     lambda: client.place("b"),  # shard 1
@@ -633,7 +710,7 @@ class TestWindowFailures:
                 del pool.remove
                 assert all(bin_ >= 0 for _, bin_ in pool._items.values())
                 with pytest.raises(ShardPoolError, match="shard 1 died"):
-                    await server._pool_call(pool.check_invariants)
+                    pool.check_invariants()
                 later = await fire_in_order(server, [
                     lambda: client.remove("a"),  # answered from the map
                     lambda: client.place("d"),  # shard 1
@@ -656,7 +733,7 @@ class TestWindowFailures:
 
 
 class TestExchangeCounter:
-    def test_stats_and_loadgen_report_pool_exchanges(self):
+    def test_stats_and_loadgen_report_pool_exchanges(self, mode):
         async def body(server):
             client = await ServeClient.connect("127.0.0.1", server.port)
             try:
@@ -680,7 +757,7 @@ class TestExchangeCounter:
                 await client.close()
             return report
 
-        report = run(with_server(body))
+        report = run(with_server(body, ServeConfig(n_shards=2, mode=mode)))
         exchanges = report.server["pool_exchanges"]
         assert exchanges > 0
         assert f"pool_exchanges={exchanges}" in report.format_text()
